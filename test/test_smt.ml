@@ -426,6 +426,72 @@ let test_propagation_allocation () =
     true
     (delta < float_of_int n)
 
+(* Search-identity pins: the exact SAT work totals of two fixed
+   workloads.  Any change to the solver's data structures that alters
+   one decision, propagation or conflict (heap layout under seeded random
+   branching, decision-cursor position, clause literal order and hence
+   watch choice) moves these numbers; a change that only makes each step
+   cheaper leaves them exactly as they are. *)
+let sat_work f =
+  let module Collector = Scamv_telemetry.Collector in
+  let c = Collector.create () in
+  Collector.with_current c f;
+  let metrics = (Collector.report c).Collector.metrics in
+  List.map
+    (fun k -> (k, Scamv_telemetry.Metrics.counter metrics k))
+    [ "sat.conflicts"; "sat.decisions"; "sat.propagations"; "sat.queries" ]
+
+let test_search_identity_session () =
+  (* Seeded (random branching on) but not diversified (the per-bit
+     lexicographic minimizer runs after every draw). *)
+  let x = T.bv_var "x" 16 and y = T.bv_var "y" 16 in
+  let fs =
+    [
+      T.eq (T.mul x y) (T.bv_const 0x2f1dL 16);
+      T.ult x y;
+      T.ugt x (T.bv_const 3L 16);
+    ]
+  in
+  let work =
+    sat_work (fun () ->
+        let s = Solver.make_session ~seed:2021L fs in
+        for _ = 1 to 8 do
+          ignore (Solver.next_model s : Solver.model_result)
+        done)
+  in
+  Alcotest.(check (list (pair string int)))
+    "seeded session work totals"
+    [ ("sat.conflicts", 64); ("sat.decisions", 216); ("sat.propagations", 24666); ("sat.queries", 171) ]
+    work
+
+let test_search_identity_pipeline () =
+  (* RV64 template C, unguided Mct: the benchmark's SAT-bound workload. *)
+  let module Workload = Scamv_service.Workload in
+  let isa = Scamv_arch.Isa.Riscv in
+  let ok = function Ok v -> v | Error m -> Alcotest.fail m in
+  let template = ok (Workload.lookup_template ~isa "C") in
+  let setup = ok (Workload.lookup_setup "mct-unguided") in
+  let { Scamv_gen.Templates.program; _ }, _ =
+    Scamv_gen.Gen.run template (Scamv_util.Splitmix.of_seed 2021L)
+  in
+  let cfg = Scamv.Pipeline.default_config ~isa setup in
+  let work =
+    sat_work (fun () ->
+        let session = Scamv.Pipeline.prepare ~seed:2021L cfg program in
+        for _ = 1 to 12 do
+          ignore (Scamv.Pipeline.next_test_case session : Scamv.Pipeline.progress)
+        done)
+  in
+  Alcotest.(check (list (pair string int)))
+    "RV64 template C mct-unguided work totals"
+    [
+      ("sat.conflicts", 124);
+      ("sat.decisions", 48645);
+      ("sat.propagations", 506921);
+      ("sat.queries", 945);
+    ]
+    work
+
 (* ------------------------------------------------------------------ *)
 (* Solver end-to-end on terms                                          *)
 (* ------------------------------------------------------------------ *)
@@ -966,6 +1032,12 @@ let () =
           Alcotest.test_case "push/pop rewinds blocking" `Quick
             test_session_push_pop_rewinds_blocking;
           Alcotest.test_case "block_model replay" `Quick test_block_model_replay;
+        ] );
+      ( "search identity",
+        [
+          Alcotest.test_case "seeded session" `Quick test_search_identity_session;
+          Alcotest.test_case "RV64 template C pipeline" `Quick
+            test_search_identity_pipeline;
         ] );
       ( "differential",
         [
