@@ -7,7 +7,7 @@ SMOKE = campaign --template A --setup mct-vs-mspec -p 6 -k 4 --seed 2021 \
 	--fault-rate 0.1 --fault-seed 7 --max-attempts 3 --max-conflicts 100 \
 	--portfolio 2
 
-.PHONY: all build test smoke check bench bench-smoke chaos-smoke metrics-smoke solver-smoke serve-smoke diff-smoke perf-check service-perf-check clean
+.PHONY: all build test smoke check bench bench-smoke chaos-smoke metrics-smoke solver-smoke serve-smoke diff-smoke perf-check perf-golden service-perf-check clean
 
 all: build
 
@@ -87,6 +87,22 @@ diff-smoke: build
 perf-check: build
 	$(DUNE) exec bench/main.exe -- campaign --out BENCH_campaign.perfcheck.json
 	$(DUNE) exec bench/main.exe -- compare-bench BENCH_campaign.json BENCH_campaign.perfcheck.json
+
+# Search-identity gate: the default-seed work counts of every benchmark
+# workload (verdicts, uarch counts, SAT conflicts, propagations and
+# queries) must equal perfbench/expected.json exactly, so a solver change
+# that only makes each step cheaper cannot silently change the search.
+PERF_WORKLOADS = refined-a unguided-c-rv64 served-small
+
+perf-golden: build
+	@for w in $(PERF_WORKLOADS); do \
+		out=$$(_build/default/perfbench/scamv_perf.exe golden --workload $$w) || exit 1; \
+		if grep -qF "\"$$w\": $$out" perfbench/expected.json; then \
+			echo "perf-golden $$w: ok"; \
+		else \
+			echo "perf-golden $$w: got $$out, expected.json differs" >&2; exit 1; \
+		fi; \
+	done
 
 # Telemetry round trip: run a small parallel campaign with --trace and
 # --metrics, then check both files parse and carry the expected spans and

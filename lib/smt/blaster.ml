@@ -461,28 +461,28 @@ and lit_of_node t id =
         let la = lit_of_ref t a in
         let lb = lit_of_ref t b in
         let o = fresh t in
-        Sat.add_clause t.sat [ Sat.negate o; la ];
-        Sat.add_clause t.sat [ Sat.negate o; lb ];
-        Sat.add_clause t.sat [ o; Sat.negate la; Sat.negate lb ];
+        Sat.add_clause2 t.sat (Sat.negate o) la;
+        Sat.add_clause2 t.sat (Sat.negate o) lb;
+        Sat.add_clause3 t.sat o (Sat.negate la) (Sat.negate lb);
         o
       | N_xor (a, b) ->
         let la = lit_of_ref t a in
         let lb = lit_of_ref t b in
         let o = fresh t in
-        Sat.add_clause t.sat [ Sat.negate o; la; lb ];
-        Sat.add_clause t.sat [ Sat.negate o; Sat.negate la; Sat.negate lb ];
-        Sat.add_clause t.sat [ o; Sat.negate la; lb ];
-        Sat.add_clause t.sat [ o; la; Sat.negate lb ];
+        Sat.add_clause3 t.sat (Sat.negate o) la lb;
+        Sat.add_clause3 t.sat (Sat.negate o) (Sat.negate la) (Sat.negate lb);
+        Sat.add_clause3 t.sat o (Sat.negate la) lb;
+        Sat.add_clause3 t.sat o la (Sat.negate lb);
         o
       | N_ite (c, a, b) ->
         let lc = lit_of_ref t c in
         let la = lit_of_ref t a in
         let lb = lit_of_ref t b in
         let o = fresh t in
-        Sat.add_clause t.sat [ Sat.negate lc; Sat.negate la; o ];
-        Sat.add_clause t.sat [ Sat.negate lc; la; Sat.negate o ];
-        Sat.add_clause t.sat [ lc; Sat.negate lb; o ];
-        Sat.add_clause t.sat [ lc; lb; Sat.negate o ];
+        Sat.add_clause3 t.sat (Sat.negate lc) (Sat.negate la) o;
+        Sat.add_clause3 t.sat (Sat.negate lc) la (Sat.negate o);
+        Sat.add_clause3 t.sat lc (Sat.negate lb) o;
+        Sat.add_clause3 t.sat lc lb (Sat.negate o);
         o
     in
     t.g.e_lit.(id) <- l;

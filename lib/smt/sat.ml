@@ -91,13 +91,17 @@ type t = {
          sampled geometrically from [random_branch_freq], so the RNG is
          touched once per ~1/freq decisions instead of on every decision *)
   default_phase : bool;
-  (* Order heap: binary max-heap on activity. *)
+  (* Order heap: binary heap on (activity desc, id asc).  [heap_act] is
+     the key of each slot, kept beside [heap] so sifting compares adjacent
+     floats instead of chasing [activity.(heap.(i))]. *)
   mutable heap : int array;
+  mutable heap_act : float array;  (* slot -> activity of heap.(slot) *)
   mutable heap_size : int;
   mutable heap_pos : int array;  (* var -> index in heap, -1 if absent *)
   mutable next_zero : int;
       (* ascending-id decision cursor over zero-activity variables: every
          unassigned zero-activity variable has id >= next_zero *)
+  mutable lits_buf : int array;  (* clause-intake scratch *)
   mutable seen : bool array;  (* scratch for conflict analysis *)
   mutable level_stamp : int array;  (* scratch for LBD computation *)
   mutable stamp : int;
@@ -158,9 +162,11 @@ let create ?seed ?(default_phase = false) ?(restart_base = 100) () =
     rnd_countdown = 0;
     default_phase;
     heap = Array.make cap 0;
+    heap_act = Array.make cap 0.0;
     heap_size = 0;
     heap_pos = Array.make cap (-1);
     next_zero = 1;
+    lits_buf = Array.make 16 0;
     seen = Array.make cap false;
     level_stamp = Array.make cap 0;
     stamp = 0;
@@ -199,78 +205,118 @@ let grow_arr a n fill =
     a'
   end
 
+(* Every per-variable array is created with the same capacity and grown
+   here by the same doubling rule, so one length check covers them all:
+   [new_var] stores a field (a write barrier each) only when it grows. *)
 let ensure_var_cap t n =
-  t.assign <- grow_arr t.assign (n + 1) 0;
-  t.level <- grow_arr t.level (n + 1) 0;
-  t.reason <- grow_arr t.reason (n + 1) cr_null;
-  t.phase <- grow_arr t.phase (n + 1) t.default_phase;
-  t.activity <- grow_arr t.activity (n + 1) 0.0;
-  t.w_data <- grow_arr t.w_data (2 * (n + 1)) [||];
-  t.w_size <- grow_arr t.w_size (2 * (n + 1)) 0;
-  t.trail <- grow_arr t.trail (n + 1) 0;
-  t.trail_lim <- grow_arr t.trail_lim (n + 1) 0;
-  t.heap <- grow_arr t.heap (n + 1) 0;
-  t.heap_pos <- grow_arr t.heap_pos (n + 1) (-1);
-  t.seen <- grow_arr t.seen (n + 1) false;
-  t.level_stamp <- grow_arr t.level_stamp (n + 2) 0
+  if Array.length t.assign <= n then begin
+    t.assign <- grow_arr t.assign (n + 1) 0;
+    t.level <- grow_arr t.level (n + 1) 0;
+    t.reason <- grow_arr t.reason (n + 1) cr_null;
+    t.phase <- grow_arr t.phase (n + 1) t.default_phase;
+    t.activity <- grow_arr t.activity (n + 1) 0.0;
+    t.w_data <- grow_arr t.w_data (2 * (n + 1)) [||];
+    t.w_size <- grow_arr t.w_size (2 * (n + 1)) 0;
+    t.trail <- grow_arr t.trail (n + 1) 0;
+    t.trail_lim <- grow_arr t.trail_lim (n + 1) 0;
+    t.heap <- grow_arr t.heap (n + 1) 0;
+    t.heap_act <- grow_arr t.heap_act (n + 1) 0.0;
+    t.heap_pos <- grow_arr t.heap_pos (n + 1) (-1);
+    t.seen <- grow_arr t.seen (n + 1) false
+  end;
+  if Array.length t.level_stamp <= n + 1 then
+    t.level_stamp <- grow_arr t.level_stamp (n + 2) 0
 
 (* ---- order heap ---- *)
 
-(* Equal activities tie-break on variable id: variables are created in
-   circuit topological order by the blaster, and branching low-id-first
-   on untouched variables approximates the old per-solve heap refill
-   (which re-inserted variables in creation order) without its O(nvars)
-   cost per query. *)
-let heap_less t a b =
-  t.activity.(a) > t.activity.(b) || (t.activity.(a) = t.activity.(b) && a < b)
+(* Key order: higher activity first, equal activities by lower variable
+   id.  Variables are created in circuit topological order by the
+   blaster, and branching low-id-first on untouched variables
+   approximates the old per-solve heap refill (which re-inserted
+   variables in creation order) without its O(nvars) cost per query.
 
-let rec heap_sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if heap_less t t.heap.(i) t.heap.(p) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(p);
-      t.heap.(p) <- tmp;
-      t.heap_pos.(t.heap.(i)) <- i;
-      t.heap_pos.(t.heap.(p)) <- p;
-      heap_sift_up t p
+   The key is a strict total order, so the array layout after every
+   operation is a function of the operation sequence alone.  That
+   matters: seeded random branching reads [heap.(i)] by index, so the
+   layout is part of the search.  Comparisons read the slot keys in
+   [heap_act] (mirroring [activity] for every occupied slot), never
+   [activity] through the slot's variable.
+
+   The sifts index [heap], [heap_act] and [heap_pos] unchecked: every
+   slot index is < [heap_size] <= [nvars], every variable id is
+   <= [nvars], and [ensure_var_cap] keeps all three arrays longer than
+   [nvars].  Stale pops (variables already assigned by propagation) make
+   these loops the hottest code of an enumeration-heavy workload. *)
+
+(* Place [v] at the hole [i] and move it up past every worse parent. *)
+let heap_sift_up t i v =
+  let heap = t.heap and heap_act = t.heap_act and heap_pos = t.heap_pos in
+  let act = t.activity.(v) in
+  let i = ref i in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) lsr 1 in
+    let pv = Array.unsafe_get heap p in
+    let pa = Array.unsafe_get heap_act p in
+    if act > pa || (act = pa && v < pv) then begin
+      Array.unsafe_set heap !i pv;
+      Array.unsafe_set heap_act !i pa;
+      Array.unsafe_set heap_pos pv !i;
+      i := p
     end
-  end
-
-let rec heap_sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < t.heap_size && heap_less t t.heap.(l) t.heap.(!best) then best := l;
-  if r < t.heap_size && heap_less t t.heap.(r) t.heap.(!best) then best := r;
-  if !best <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!best);
-    t.heap.(!best) <- tmp;
-    t.heap_pos.(t.heap.(i)) <- i;
-    t.heap_pos.(t.heap.(!best)) <- !best;
-    heap_sift_down t !best
-  end
+    else moving := false
+  done;
+  Array.unsafe_set heap !i v;
+  Array.unsafe_set heap_act !i act;
+  Array.unsafe_set heap_pos v !i
 
 let heap_insert t v =
   if t.heap_pos.(v) < 0 then begin
-    t.heap.(t.heap_size) <- v;
-    t.heap_pos.(v) <- t.heap_size;
-    t.heap_size <- t.heap_size + 1;
-    heap_sift_up t t.heap_pos.(v)
+    let i = t.heap_size in
+    t.heap_size <- i + 1;
+    heap_sift_up t i v
   end
 
+(* Bottom-up (Floyd) pop: walk the root hole down the better-child path
+   to a leaf — one key comparison per level instead of two — then sift
+   the displaced last element up from there.  Along that path the keys
+   only get worse, so it comes to rest exactly where a top-down sift
+   would have stopped it. *)
 let heap_pop t =
-  let v = t.heap.(0) in
-  t.heap_size <- t.heap_size - 1;
-  t.heap_pos.(v) <- -1;
-  if t.heap_size > 0 then begin
-    t.heap.(0) <- t.heap.(t.heap_size);
-    t.heap_pos.(t.heap.(0)) <- 0;
-    heap_sift_down t 0
+  let heap = t.heap and heap_act = t.heap_act and heap_pos = t.heap_pos in
+  let top = heap.(0) in
+  Array.unsafe_set heap_pos top (-1);
+  let n = t.heap_size - 1 in
+  t.heap_size <- n;
+  if n > 0 then begin
+    let i = ref 0 in
+    let c = ref 1 in
+    while !c < n do
+      let l = !c in
+      let r = l + 1 in
+      let best =
+        if r < n then begin
+          let la = Array.unsafe_get heap_act l and ra = Array.unsafe_get heap_act r in
+          if ra > la || (ra = la && Array.unsafe_get heap r < Array.unsafe_get heap l)
+          then r
+          else l
+        end
+        else l
+      in
+      let bv = Array.unsafe_get heap best in
+      Array.unsafe_set heap !i bv;
+      Array.unsafe_set heap_act !i (Array.unsafe_get heap_act best);
+      Array.unsafe_set heap_pos bv !i;
+      i := best;
+      c := (2 * best) + 1
+    done;
+    heap_sift_up t !i (Array.unsafe_get heap n)
   end;
-  v
+  top
 
-let heap_update t v = if t.heap_pos.(v) >= 0 then heap_sift_up t t.heap_pos.(v)
+(* Re-key [v] after its activity grew (activities only ever increase
+   between rescales, so it can only move up). *)
+let heap_update t v = if t.heap_pos.(v) >= 0 then heap_sift_up t t.heap_pos.(v) v
 
 (* ---- variables ---- *)
 
@@ -286,9 +332,12 @@ let new_var t =
   t.heap_pos.(v) <- -1;
   v
 
-let lit_value t l =
-  let a = t.assign.(l lsr 1) in
-  if a = 0 then 0 else if l land 1 = 0 then a else -a
+(* Value of a literal under [assign]: 1 true, -1 false, 0 unassigned. *)
+let[@inline] lit_value_in assign l =
+  let a = assign.(l lsr 1) in
+  if l land 1 = 0 then a else -a
+
+let lit_value t l = lit_value_in t.assign l
 
 let decision_level t = t.trail_lim_size
 
@@ -304,6 +353,9 @@ let var_bump t v =
   if t.activity.(v) > 1e100 then begin
     for i = 1 to t.nvars do
       t.activity.(i) <- t.activity.(i) *. 1e-100
+    done;
+    for i = 0 to t.heap_size - 1 do
+      t.heap_act.(i) <- t.activity.(t.heap.(i))
     done;
     t.var_inc <- t.var_inc *. 1e-100
   end;
@@ -387,9 +439,9 @@ let push_cref arr n c =
   arr.(n) <- c;
   arr
 
-(* Allocate a clause from an array of literals; attaches nothing. *)
-let alloc_clause t ~learned lits =
-  let n = Array.length lits in
+(* Allocate a clause from the first [n] entries of [lits]; attaches
+   nothing. *)
+let alloc_clause t ~learned lits n =
   let extra = if learned then 2 else 0 in
   let c = ca_alloc t (1 + extra + n) in
   t.ca.(c) <- (n lsl 2) lor (if learned then 2 else 0);
@@ -405,8 +457,11 @@ let alloc_clause t ~learned lits =
 
 (* Propagate all pending assignments; returns the conflicting cref or
    [cr_null].  The watch vector of the triggering literal is compacted in
-   place: no allocation per visited clause. *)
+   place: no allocation per visited clause.  [assign] and [ca] are read
+   through locals: propagation neither creates variables nor allocates
+   clauses, so neither array is replaced while it runs. *)
 let propagate t : cref =
+  let assign = t.assign and ca = t.ca in
   let conflict = ref cr_null in
   while !conflict = cr_null && t.qhead < t.trail_size do
     let l = t.trail.(t.qhead) in
@@ -421,24 +476,24 @@ let propagate t : cref =
       let blocker = data.(!i + 1) in
       (* Blocker fast path: if the cached other literal is already true
          the clause needs no work at all. *)
-      if lit_value t blocker = 1 then begin
+      if lit_value_in assign blocker = 1 then begin
         data.(!j) <- c;
         data.(!j + 1) <- blocker;
         j := !j + 2;
         i := !i + 2
       end
-      else if cl_deleted t c then
+      else if ca.(c) land 1 <> 0 then
         (* Lazily drop watchers of deleted clauses. *)
         i := !i + 2
       else begin
-        let base = cl_base t c in
+        let base = c + 1 + (ca.(c) land 2) in
         (* Ensure the false literal is at position 1. *)
-        if t.ca.(base) = false_lit then begin
-          t.ca.(base) <- t.ca.(base + 1);
-          t.ca.(base + 1) <- false_lit
+        if ca.(base) = false_lit then begin
+          ca.(base) <- ca.(base + 1);
+          ca.(base + 1) <- false_lit
         end;
-        let first = t.ca.(base) in
-        if first <> blocker && lit_value t first = 1 then begin
+        let first = ca.(base) in
+        if first <> blocker && lit_value_in assign first = 1 then begin
           (* Satisfied by the other watched literal: keep, refresh blocker. *)
           data.(!j) <- c;
           data.(!j + 1) <- first;
@@ -447,19 +502,19 @@ let propagate t : cref =
         end
         else begin
           (* Look for a new literal to watch. *)
-          let size = cl_size t c in
+          let size = ca.(c) lsr 2 in
           let k = ref 2 in
-          while !k < size && lit_value t t.ca.(base + !k) = -1 do
+          while !k < size && lit_value_in assign ca.(base + !k) = -1 do
             incr k
           done;
           if !k < size then begin
             (* Move the watch: this watcher leaves l's list. *)
-            t.ca.(base + 1) <- t.ca.(base + !k);
-            t.ca.(base + !k) <- false_lit;
-            push_watch t (negate t.ca.(base + 1)) c first;
+            ca.(base + 1) <- ca.(base + !k);
+            ca.(base + !k) <- false_lit;
+            push_watch t (negate ca.(base + 1)) c first;
             i := !i + 2
           end
-          else if lit_value t first = -1 then begin
+          else if lit_value_in assign first = -1 then begin
             (* Conflict: keep this watcher and the unvisited suffix. *)
             data.(!j) <- c;
             data.(!j + 1) <- blocker;
@@ -487,32 +542,82 @@ let propagate t : cref =
   done;
   !conflict
 
-let add_clause_raw t lits =
-  (* Normalize against root (level-0) assignments only, so clauses can be
-     added at any decision level: a model-blocking clause asserted between
-     enumeration draws rewinds the trail just past its two deepest
-     falsified literals instead of to the root, and the next solve resumes
-     the search descent instead of rebuilding it. *)
+(* ---- clause intake ---- *)
+
+(* Every clause enters through [t.lits_buf]: the entry points below write
+   their literals there and [add_buffered] normalizes them in place, so
+   Tseitin-sized clauses cost no allocation. *)
+
+(* Write the innermost scope's guard (see [add_clause]) at the head of
+   the buffer; returns the number of literals written. *)
+let put_guard t =
+  if t.n_scopes = 0 then 0
+  else begin
+    t.lits_buf.(0) <- negate t.scope_lits.(t.n_scopes - 1);
+    1
+  end
+
+(* Ascending sort of [buf.(0..n-1)]: insertion sort for clause-sized
+   prefixes, the library heap sort on a copy for long (blocking) ones. *)
+let sort_prefix buf n =
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let x = buf.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && buf.(!j) > x do
+        buf.(!j + 1) <- buf.(!j);
+        decr j
+      done;
+      buf.(!j + 1) <- x
+    done
+  else begin
+    let a = Array.sub buf 0 n in
+    Array.sort Int.compare a;
+    Array.blit a 0 buf 0 n
+  end
+
+let root_lit t l =
+  let a = root_value t (l lsr 1) in
+  if l land 1 = 0 then a else -a
+
+(* Add the clause held in [t.lits_buf.(0..n-1)].  Normalize against root
+   (level-0) assignments only, so clauses can be added at any decision
+   level: a model-blocking clause asserted between enumeration draws
+   rewinds the trail just past its two deepest falsified literals instead
+   of to the root, and the next solve resumes the search descent instead
+   of rebuilding it. *)
+let add_buffered t n =
   if not t.unsat then begin
-    let lits = List.sort_uniq compare lits in
-    (* After sorting, the two literals of one variable are adjacent. *)
-    let rec has_adjacent_negation = function
-      | a :: (b :: _ as rest) -> b = a + 1 && a land 1 = 0 || has_adjacent_negation rest
-      | _ -> false
-    in
-    let root_lit l =
-      let a = root_value t (l lsr 1) in
-      if a = 0 then 0 else if l land 1 = 0 then a else -a
-    in
-    let tautology =
-      has_adjacent_negation lits || List.exists (fun l -> root_lit l = 1) lits
-    in
-    if not tautology then begin
-      let lits = List.filter (fun l -> root_lit l <> -1) lits in
-      match lits with
-      | [] -> t.unsat <- true
-      | [ l ] -> (
+    let buf = t.lits_buf in
+    sort_prefix buf n;
+    (* Deduplicate.  After sorting, the two literals of one variable are
+       adjacent, so a tautology shows up as a kept pair (2v, 2v+1). *)
+    let m = ref 0 in
+    let tautology = ref false in
+    for i = 0 to n - 1 do
+      let l = buf.(i) in
+      if !m = 0 || buf.(!m - 1) <> l then begin
+        if !m > 0 && buf.(!m - 1) = l - 1 && l land 1 = 1 then tautology := true;
+        if root_lit t l = 1 then tautology := true;
+        buf.(!m) <- l;
+        incr m
+      end
+    done;
+    if not !tautology then begin
+      (* Strip root-false literals. *)
+      let n = ref 0 in
+      for i = 0 to !m - 1 do
+        let l = buf.(i) in
+        if root_lit t l <> -1 then begin
+          buf.(!n) <- l;
+          incr n
+        end
+      done;
+      let n = !n in
+      if n = 0 then t.unsat <- true
+      else if n = 1 then begin
         (* Units must enter the root trail: rewind and propagate. *)
+        let l = buf.(0) in
         cancel_until t 0;
         ignore (propagate t);
         match lit_value t l with
@@ -520,23 +625,22 @@ let add_clause_raw t lits =
         | -1 -> t.unsat <- true
         | _ ->
           enqueue t l cr_null;
-          if propagate t <> cr_null then t.unsat <- true)
-      | _ :: _ :: _ ->
-        let arr = Array.of_list lits in
-        let n = Array.length arr in
+          if propagate t <> cr_null then t.unsat <- true
+      end
+      else begin
         (* The watch invariant needs two non-falsified literals: if the
            current assignment leaves fewer, rewind past the deepest
            falsifying levels (their literals survived the root filter, so
            those levels are >= 1 and the target stays >= 0). *)
         let non_false = ref 0 in
         for i = 0 to n - 1 do
-          if lit_value t arr.(i) <> -1 then incr non_false
+          if lit_value t buf.(i) <> -1 then incr non_false
         done;
         if !non_false < 2 then begin
           let l1 = ref 0 and l2 = ref 0 in
           for i = 0 to n - 1 do
-            if lit_value t arr.(i) = -1 then begin
-              let lv = t.level.(arr.(i) lsr 1) in
+            if lit_value t buf.(i) = -1 then begin
+              let lv = t.level.(buf.(i) lsr 1) in
               if lv > !l1 then begin
                 l2 := !l1;
                 l1 := lv
@@ -550,18 +654,19 @@ let add_clause_raw t lits =
         let w = ref 0 in
         let i = ref 0 in
         while !w < 2 && !i < n do
-          if lit_value t arr.(!i) <> -1 then begin
-            let tmp = arr.(!w) in
-            arr.(!w) <- arr.(!i);
-            arr.(!i) <- tmp;
+          if lit_value t buf.(!i) <> -1 then begin
+            let tmp = buf.(!w) in
+            buf.(!w) <- buf.(!i);
+            buf.(!i) <- tmp;
             incr w
           end;
           incr i
         done;
-        let c = alloc_clause t ~learned:false arr in
+        let c = alloc_clause t ~learned:false buf n in
         attach_clause t c;
         t.clauses <- push_cref t.clauses t.n_clauses c;
         t.n_clauses <- t.n_clauses + 1
+      end
     end
   end
 
@@ -569,8 +674,26 @@ let add_clause_raw t lits =
    negation as a guard: they only bite while [solve] assumes the selector,
    and [pop]'s permanent unit satisfies them all at once. *)
 let add_clause t lits =
-  if t.n_scopes = 0 then add_clause_raw t lits
-  else add_clause_raw t (negate t.scope_lits.(t.n_scopes - 1) :: lits)
+  let n = List.length lits + 1 in
+  if Array.length t.lits_buf < n then t.lits_buf <- grow_arr t.lits_buf n 0;
+  let k = put_guard t in
+  let n = List.fold_left (fun i l -> t.lits_buf.(i) <- l; i + 1) k lits in
+  add_buffered t n
+
+(* [lits_buf] starts at 16 entries and never shrinks, so the fixed-arity
+   entry points (guard included) always fit. *)
+let add_clause2 t a b =
+  let k = put_guard t in
+  t.lits_buf.(k) <- a;
+  t.lits_buf.(k + 1) <- b;
+  add_buffered t (k + 2)
+
+let add_clause3 t a b c =
+  let k = put_guard t in
+  t.lits_buf.(k) <- a;
+  t.lits_buf.(k + 1) <- b;
+  t.lits_buf.(k + 2) <- c;
+  add_buffered t (k + 3)
 
 let push t =
   let s = pos (new_var t) in
@@ -587,7 +710,8 @@ let pop t =
      guarded by [s] is satisfied from here on and stripped by the next
      root-level simplification; learnt clauses mentioning [negate s] stay
      sound because the unit subsumes that literal. *)
-  add_clause_raw t [ negate s ];
+  t.lits_buf.(0) <- negate s;
+  add_buffered t 1;
   Scamv_telemetry.Collector.incr "sat.pops"
 
 let num_scopes t = t.n_scopes
@@ -805,63 +929,66 @@ let simplify t =
    unassigned heap variable outranks every zero-activity one.  The
    zero-activity majority — Tseitin internals, in circuit topological
    order by construction — is served by [next_zero], an ascending-id
-   cursor that [solve] rewinds per query and [cancel_until] rewinds on
-   backtracking.  This keeps a decision O(1) amortised instead of heap
-   pops through thousands of propagation-assigned variables, which
-   dominated solve time in the enumeration workload. *)
-let pick_branch_var t =
-  let random_pick () =
-    if t.heap_size = 0 then -1
-    else begin
-      let i, rng = Scamv_util.Splitmix.int t.rng t.heap_size in
-      t.rng <- rng;
-      let v = t.heap.(i) in
-      if t.assign.(v) = 0 then v else -1
+   cursor that only [cancel_until] moves back, and never further than the
+   lowest zero-activity variable it frees.  This keeps a decision O(1)
+   amortised instead of heap pops through thousands of
+   propagation-assigned variables, which dominated solve time in the
+   enumeration workload.  Every step below is a top-level function over
+   solver state, so a decision allocates nothing (only the occasional
+   random-branch draw allocates its RNG result). *)
+let random_pick t =
+  if t.heap_size = 0 then -1
+  else begin
+    let i, rng = Scamv_util.Splitmix.int t.rng t.heap_size in
+    t.rng <- rng;
+    let v = t.heap.(i) in
+    if t.assign.(v) = 0 then v else -1
+  end
+
+(* Geometric random-branch schedule: -1 on a deterministic decision. *)
+let random_branch t =
+  if t.random_branch_freq > 0.0 then
+    if t.rnd_countdown > 0 then begin
+      t.rnd_countdown <- t.rnd_countdown - 1;
+      -1
     end
-  in
-  let v =
-    if t.random_branch_freq > 0.0 then
-      if t.rnd_countdown > 0 then begin
-        t.rnd_countdown <- t.rnd_countdown - 1;
-        -1
-      end
-      else begin
-        (* Sample the gap to the next random branch geometrically: one
-           RNG draw covers ~1/freq deterministic decisions. *)
-        let u, rng = Scamv_util.Splitmix.float t.rng in
-        t.rng <- rng;
-        let gap =
-          int_of_float (log (max u 1e-12) /. log (1.0 -. t.random_branch_freq))
-        in
-        t.rnd_countdown <- gap;
-        random_pick ()
-      end
-    else -1
-  in
+    else begin
+      (* Sample the gap to the next random branch geometrically: one
+         RNG draw covers ~1/freq deterministic decisions. *)
+      let u, rng = Scamv_util.Splitmix.float t.rng in
+      t.rng <- rng;
+      let gap =
+        int_of_float (log (max u 1e-12) /. log (1.0 -. t.random_branch_freq))
+      in
+      t.rnd_countdown <- gap;
+      random_pick t
+    end
+  else -1
+
+let rec pop_unassigned t =
+  if t.heap_size = 0 then -1
+  else begin
+    let v = heap_pop t in
+    if t.assign.(v) = 0 then v else pop_unassigned t
+  end
+
+let rec scan_zero t z =
+  if z > t.nvars then begin
+    t.next_zero <- z;
+    -1
+  end
+  else if t.assign.(z) = 0 && t.activity.(z) = 0.0 then begin
+    t.next_zero <- z + 1;
+    z
+  end
+  else scan_zero t (z + 1)
+
+let pick_branch_var t =
+  let v = random_branch t in
   if v > 0 then v
   else begin
-    let rec pop () =
-      if t.heap_size = 0 then -1
-      else begin
-        let v = heap_pop t in
-        if t.assign.(v) = 0 then v else pop ()
-      end
-    in
-    let v = pop () in
-    if v > 0 then v
-    else begin
-      let n = t.nvars in
-      let rec scan z =
-        if z > n then -1
-        else if t.assign.(z) = 0 && t.activity.(z) = 0.0 then begin
-          t.next_zero <- z + 1;
-          z
-        end
-        else scan (z + 1)
-      in
-      let z = scan t.next_zero in
-      if z > 0 then z else (t.next_zero <- n + 1; -1)
-    end
+    let v = pop_unassigned t in
+    if v > 0 then v else scan_zero t t.next_zero
   end
 
 (* Luby restart sequence (1-indexed): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
@@ -1001,13 +1128,14 @@ let solve ?(assumptions = [||]) ?n_assumptions ?(budget = unlimited) t =
     t.prev_assum <- grow_arr t.prev_assum total 0;
     Array.blit t.eff 0 t.prev_assum 0 total;
     t.n_prev <- total;
-    (* Decision order state is O(1) to rewind per query: positive-activity
-       variables stay on the heap across queries ([new_var] and
-       [cancel_until] maintain it), and the zero-activity cursor restarts
-       from the lowest id — so unlike the previous revision there is no
-       O(nvars) heap refill per query, which matters when enumeration
-       issues thousands of queries against the same instance. *)
-    t.next_zero <- 1;
+    (* Decision order state needs no per-query rewind:
+       positive-activity variables stay on the heap across queries, and
+       the zero-activity cursor keeps its invariant (every unassigned
+       zero-activity variable has id >= [next_zero]) across queries
+       because [new_var] only appends ids and [cancel_until] — the only
+       place a variable becomes unassigned, including the rewind just
+       above — pulls the cursor back to every zero-activity variable it
+       frees. *)
     (* Root propagation and simplification only apply from a clean trail;
        with a kept assumption prefix the trail is already settled (nothing
        was added since, or [keep] would be 0) and the search loop handles
@@ -1068,7 +1196,7 @@ let solve ?(assumptions = [||]) ?n_assumptions ?(budget = unlimited) t =
                     lits.(1) <- lits.(!best);
                     lits.(!best) <- tmp;
                     let lbd = compute_lbd t lits in
-                    let c = alloc_clause t ~learned:true lits in
+                    let c = alloc_clause t ~learned:true lits (Array.length lits) in
                     cl_set_lbd t c lbd;
                     attach_clause t c;
                     t.learnts <- push_cref t.learnts t.n_learnts c;
@@ -1134,8 +1262,10 @@ let solve ?(assumptions = [||]) ?n_assumptions ?(budget = unlimited) t =
 let nudge_activity t v amount =
   t.activity.(v) <- t.activity.(v) +. amount;
   (* The variable just became positive-activity: it now belongs on the
-     heap (the zero-activity cursor will skip it from here on). *)
-  if t.assign.(v) = 0 then heap_insert t v else heap_update t v
+     heap (the zero-activity cursor will skip it from here on); an
+     assigned one enters it when [cancel_until] frees it. *)
+  if t.heap_pos.(v) >= 0 then heap_update t v
+  else if t.assign.(v) = 0 then heap_insert t v
 
 let reset_phases t = Array.fill t.phase 0 (Array.length t.phase) t.default_phase
 

@@ -12,6 +12,17 @@
     live in a single growable int arena and are referenced by offset;
     watch lists are flat int vectors of (clause, blocker) pairs compacted
     in place by propagation, so the hot path performs no list allocation.
+    Branching is VSIDS over a binary heap keyed on (activity desc, id
+    asc), with each slot's key held in a float array beside the slot
+    array; sifts move a hole and pop is bottom-up (Floyd).  The key is a
+    strict total order, so the heap layout is a function of the
+    operation sequence — and it is part of the seeded search, because
+    random branching picks a heap slot by index.  Variables that never
+    gained activity are decided by an ascending-id cursor that persists
+    across queries: every unassigned zero-activity variable has an id at
+    or above it, an invariant [new_var] and backtracking maintain.
+    Clause intake normalizes in a solver-owned scratch buffer, so
+    {!add_clause2} and {!add_clause3} allocate nothing per clause.
     Learnt clauses carry an LBD score (Audemard & Simon) and a recency
     activity; every ~2000 conflicts the learnt database is reduced,
     keeping glue clauses (LBD <= 2) and locked clauses and deleting the
@@ -69,6 +80,13 @@ val add_clause : t -> lit list -> unit
     clause falsified at level 0) makes the instance permanently UNSAT.
     Inside an open {!push} scope the clause is guarded by the innermost
     scope's selector literal, so {!pop} retracts it. *)
+
+val add_clause2 : t -> lit -> lit -> unit
+val add_clause3 : t -> lit -> lit -> lit -> unit
+(** [add_clause2 t a b] and [add_clause3 t a b c] are [add_clause t [a; b]]
+    and [add_clause t [a; b; c]] without building the list: the same
+    normalization, the same watched literals, no allocation.  The
+    bit-blaster's Tseitin encodings go through them. *)
 
 val push : t -> unit
 (** Open a retractable scope: clauses added until the matching {!pop} are

@@ -426,6 +426,139 @@ let test_propagation_allocation () =
     true
     (delta < float_of_int n)
 
+(* Clause intake: the list entry point and the fixed-arity ones share one
+   normalization (sort, dedupe, tautology and root-true drop, root-false
+   strip, unit path, watch choice), so twin solvers fed the same clauses
+   through either must walk the same search.  Literals come from a small
+   variable pool so duplicates and complementary pairs are common, unit
+   clauses fix some variables at the root first, and the second batch
+   arrives after a solve (decision level > 0, possibly inside a scope). *)
+let prop_clause_intake_twins =
+  QCheck.Test.make ~name:"add_clause2/3 match add_clause on twin solvers"
+    ~count:300
+    QCheck.(triple (int_bound 1000000) (int_range 2 10) (int_range 2 40))
+    (fun (seed, nvars, nclauses) ->
+      let module Sm = Scamv_util.Splitmix in
+      let rng = ref (Sm.of_seed (Int64.of_int seed)) in
+      let next n =
+        let v, r = Sm.int !rng n in
+        rng := r;
+        v
+      in
+      let a = Sat.create () and b = Sat.create () in
+      let vars = Array.init nvars (fun _ -> ignore (Sat.new_var b); Sat.new_var a) in
+      let lit () =
+        let v = vars.(next nvars) in
+        if next 2 = 1 then Sat.neg_of_var v else Sat.pos v
+      in
+      let units = List.init (next 3) (fun _ -> [ lit () ]) in
+      let gen () = List.init (2 + next 2) (fun _ -> lit ()) in
+      let first = List.init (nclauses / 2) (fun _ -> gen ()) in
+      let second = List.init (nclauses - (nclauses / 2)) (fun _ -> gen ()) in
+      let scoped = next 2 = 1 in
+      let add_b = function
+        | [ x ] -> Sat.add_clause b [ x ]
+        | [ x; y ] -> Sat.add_clause2 b x y
+        | [ x; y; z ] -> Sat.add_clause3 b x y z
+        | _ -> assert false
+      in
+      let stats s =
+        ( Sat.stats_conflicts s,
+          Sat.stats_decisions s,
+          Sat.stats_propagations s,
+          Array.map (Sat.value s) vars )
+      in
+      let round clauses =
+        List.iter (Sat.add_clause a) clauses;
+        List.iter add_b clauses;
+        let ra = Sat.solve a and rb = Sat.solve b in
+        ra = rb && stats a = stats b
+      in
+      let twins_agree =
+        round (units @ first)
+        && begin
+             if scoped then begin
+               Sat.push a;
+               Sat.push b
+             end;
+             round second
+           end
+      in
+      let all = units @ first @ second in
+      let expected = brute_force_sat nvars all in
+      twins_agree && Bool.equal expected (Sat.solve a = Sat.Sat))
+
+let test_intake_allocation () =
+  (* Tseitin-shaped 3-literal intake on a warmed solver: every clause is
+     normalized in the solver's scratch buffer and copied into the arena,
+     so the only allocation left is growth of the arena and index vectors
+     (major-heap blocks at this size) — no minor words per clause. *)
+  let module Sm = Scamv_util.Splitmix in
+  let nvars = 30 and n = 4000 and measured = 400 in
+  let s = Sat.create () in
+  let vars = Array.init nvars (fun _ -> Sat.new_var s) in
+  let rng = ref (Sm.of_seed 11L) in
+  let lits =
+    Array.init (3 * (n + measured)) (fun _ ->
+        let v, r = Sm.int !rng nvars in
+        let neg, r = Sm.bool r in
+        rng := r;
+        if neg then Sat.neg_of_var vars.(v) else Sat.pos vars.(v))
+  in
+  let add k = Sat.add_clause3 s lits.(3 * k) lits.((3 * k) + 1) lits.((3 * k) + 2) in
+  for k = 0 to n - 1 do
+    add k
+  done;
+  let w0 = Gc.minor_words () in
+  for k = n to n + measured - 1 do
+    add k
+  done;
+  let delta = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d three-literal clauses" delta measured)
+    true (delta < 16.)
+
+let test_decision_allocation () =
+  (* A conflict-free solve allocates nothing per decision: branching
+     (heap pops, the zero-activity cursor), assignment and backtracking
+     all work on preallocated solver arrays.  Each clause (x2k | x2k+1)
+     costs one decision and one propagation; every other decision comes
+     off the activity heap, the rest from the zero-activity cursor. *)
+  let n = 20_000 in
+  let s = Sat.create () in
+  let sel = Sat.new_var s in
+  let vars = Array.init n (fun _ -> Sat.new_var s) in
+  Array.iteri
+    (fun i v -> if i mod 4 = 0 then Sat.nudge_activity s v (1e-3 *. float_of_int (i + 1)))
+    vars;
+  for k = 0 to (n / 2) - 1 do
+    Sat.add_clause2 s (Sat.pos vars.(2 * k)) (Sat.pos vars.((2 * k) + 1))
+  done;
+  (* Alternating the assumption on [sel] rewinds the whole trail, so
+     every query re-decides every variable. *)
+  let solve l =
+    match Sat.solve ~assumptions:[| l |] s with
+    | Sat.Sat -> ()
+    | Sat.Unsat | Sat.Unknown -> Alcotest.fail "chain should be sat"
+  in
+  solve (Sat.pos sel);
+  solve (Sat.neg_of_var sel);
+  let assumptions = [| Sat.pos sel |] in
+  let d0 = Sat.stats_decisions s and c0 = Sat.stats_conflicts s in
+  let w0 = Gc.minor_words () in
+  (match Sat.solve ~assumptions s with
+  | Sat.Sat -> ()
+  | Sat.Unsat | Sat.Unknown -> Alcotest.fail "chain should be sat");
+  let delta = Gc.minor_words () -. w0 in
+  let decisions = Sat.stats_decisions s - d0 in
+  Alcotest.(check int) "conflict-free" 0 (Sat.stats_conflicts s - c0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d decisions" decisions)
+    true (decisions >= n / 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d decisions" delta decisions)
+    true (delta < 256.)
+
 (* Search-identity pins: the exact SAT work totals of two fixed
    workloads.  Any change to the solver's data structures that alters
    one decision, propagation or conflict (heap layout under seeded random
@@ -993,6 +1126,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_push_pop_matches_brute_force;
           Alcotest.test_case "propagation allocation bounded" `Quick
             test_propagation_allocation;
+          QCheck_alcotest.to_alcotest prop_clause_intake_twins;
+          Alcotest.test_case "clause intake allocation-free" `Quick
+            test_intake_allocation;
+          Alcotest.test_case "decisions allocation-free" `Quick
+            test_decision_allocation;
         ] );
       ( "solver",
         [
