@@ -2,7 +2,7 @@ DUNE ?= dune
 
 # Seeded smoke campaign: fault injection + retry + a tight SAT budget +
 # a 2-config solver portfolio, so the quarantine/retry/fault/portfolio
-# counters are exercised on every check.
+# counters are exercised on every check, on both guest ISAs.
 SMOKE = campaign --template A --setup mct-vs-mspec -p 6 -k 4 --seed 2021 \
 	--fault-rate 0.1 --fault-seed 7 --max-attempts 3 --max-conflicts 100 \
 	--portfolio 2
@@ -20,6 +20,8 @@ test:
 smoke: build
 	$(DUNE) exec bin/scamv_cli.exe -- $(SMOKE)
 	$(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) --jobs 4
+	$(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) --isa riscv --jobs 1
+	$(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) --isa riscv --jobs 4
 
 check: build test smoke
 

@@ -684,13 +684,13 @@ let micro () =
   in
   let t_sim =
     let core = Core.create Core.cortex_a53 in
-    let stride_arm = arm_draw ~seed:7L Templates.stride in
+    let stride = Core.decode (Gen.generate ~seed:7L Templates.stride).Templates.program in
     Test.make ~name:"primitive simulator run (stride)"
       (Staged.stage (fun () ->
            Core.reset_cache core;
            let m = Scamv_isa.Machine.create () in
            Scamv_isa.Machine.set_reg m (Reg.x 12) platform.Platform.mem_base;
-           ignore (Core.run core stride_arm m)))
+           ignore (Core.run core stride m)))
   in
   let tests =
     Test.make_grouped ~name:"scamv" ~fmt:"%s %s"

@@ -50,12 +50,14 @@ let validate_mspec1_on core_cfg name =
 
 (* Fig. 6 (left): the classic Spectre-PHT gadget, both loads guarded. *)
 let spectre_pht =
-  [|
-    Ast.Cmp (x 0, Ast.Reg (x 1));
-    Ast.B_cond (Ast.Hs, 4);
-    Ast.Ldr (x 2, { Ast.base = x 10; offset = Ast.Reg (x 0); scale = 0 });
-    Ast.Ldr (x 4, { Ast.base = x 11; offset = Ast.Reg (x 2); scale = 0 });
-  |]
+  Core.decode
+    (Scamv_arch.Isa.Aarch64_program
+       [|
+         Ast.Cmp (x 0, Ast.Reg (x 1));
+         Ast.B_cond (Ast.Hs, 4);
+         Ast.Ldr (x 2, { Ast.base = x 10; offset = Ast.Reg (x 0); scale = 0 });
+         Ast.Ldr (x 4, { Ast.base = x 11; offset = Ast.Reg (x 2); scale = 0 });
+       |])
 
 let a_base = 0x8000_0000L
 let b_base = 0x8010_0000L

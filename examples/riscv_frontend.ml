@@ -1,16 +1,14 @@
 (* Multi-architecture support (Sec. 2.3: "Scam-V supports multiple
    architectures by translating binary programs to an intermediate
-   language").  A RISC-V (RV64) victim is validated twice: translated to
-   the common ISA (the original frontend), and natively, through the
-   arch-parametric lifter ([Scamv_riscv.Lift.arch]) that turns RV64
-   straight into BIR with no AArch64 detour.  Both paths find the
-   speculative leak.
+   language").  A RISC-V (RV64) victim goes through the arch-parametric
+   lifter ([Scamv_riscv.Lift.arch]) straight into BIR, and from there
+   through the same models, symbolic execution, relation synthesis and
+   simulated core as an AArch64 program.  Refinement-guided search finds
+   the speculative leak; unguided search does not.
 
    Run with:  dune exec examples/riscv_frontend.exe *)
 
 module Rv = Scamv_riscv.Ast
-module Translate = Scamv_riscv.Translate
-module Arm = Scamv_isa.Ast
 module Executor = Scamv_microarch.Executor
 module Refinement = Scamv_models.Refinement
 module Gen = Scamv_gen.Gen
@@ -32,9 +30,9 @@ let rv_gadget =
     Rv.Ld (Rv.x 5, 0L, Rv.x 3);
   |]
 
-let run ~isa name template setup =
+let run name template setup =
   let cfg =
-    Campaign.make ~name ~isa ~template ~setup ~view:Executor.Full_cache
+    Campaign.make ~name ~isa:Scamv_arch.Isa.Riscv ~template ~setup ~view:Executor.Full_cache
       ~programs:1 ~tests_per_program:40 ~seed:9L ()
   in
   let s = (Campaign.run cfg).Campaign.stats in
@@ -47,52 +45,23 @@ let run ~isa name template setup =
 
 let () =
   Format.printf "=== RV64 victim ===@.%a@." Rv.pp_program rv_gadget;
-  (match Translate.translate rv_gadget with
-  | Error msg -> Format.printf "translation failed: %s@." msg
-  | Ok arm ->
-    Format.printf "=== translated to the common ISA ===@.%a@." Arm.pp_program arm;
-    let template =
-      Gen.return
-        {
-          Scamv_gen.Templates.template_name = "rv64 gadget";
-          program = Scamv_arch.Isa.Aarch64_program arm;
-        }
-    in
-    Format.printf "@.=== validating Mct on the translated program ===@.";
-    let refined =
-      run ~isa:Scamv_arch.Isa.Aarch64 "Mct vs Mspec (refined)" template
-        (Refinement.mct_vs_mspec ())
-    in
-    let unguided =
-      run ~isa:Scamv_arch.Isa.Aarch64 "Mct unguided" template
-        Refinement.mct_unguided
-    in
-    Format.printf "@.";
-    if refined > 0 && unguided = 0 then
-      Format.printf
-        "The RISC-V victim leaks exactly like its AArch64 counterpart: one@.\
-         speculative load suffices, and only refinement-guided search sees it.@.\
-         Supporting the new architecture took one translator module - models,@.\
-         symbolic execution, relation synthesis and the platform are unchanged.@.");
-  (* The same gadget again, without the translation detour: the native
-     RV64 lifter feeds the identical pipeline, and the RV64 side of the
-     simulated core (compare-and-branch speculation) runs it. *)
-  Format.printf "@.=== validating Mct natively (no translation) ===@.%a@."
-    Scamv_bir.Program.pp
+  Format.printf "@.=== lifted to BIR ===@.%a@." Scamv_bir.Program.pp
     (Scamv_bir.Lifter.lift_arch Scamv_riscv.Lift.arch rv_gadget);
-  let native_template =
+  let template =
     Gen.return
       {
-        Scamv_gen.Templates.template_name = "rv64 gadget (native)";
+        Scamv_gen.Templates.template_name = "rv64 gadget";
         program = Scamv_arch.Isa.Riscv_program rv_gadget;
       }
   in
-  let native =
-    run ~isa:Scamv_arch.Isa.Riscv "Mct vs Mspec (native)" native_template
-      (Refinement.mct_vs_mspec ())
-  in
-  if native > 0 then
+  Format.printf "@.=== validating Mct on the RV64 program ===@.";
+  let refined = run "Mct vs Mspec (refined)" template (Refinement.mct_vs_mspec ()) in
+  let unguided = run "Mct unguided" template Refinement.mct_unguided in
+  Format.printf "@.";
+  if refined > 0 && unguided = 0 then
     Format.printf
-      "@.The native frontend reaches the same conclusion - and it also@.\
-       accepts RV64 programs the translator rejects (register-amount@.\
-       shifts, jal with a live link register).@."
+      "The RISC-V victim leaks exactly like its AArch64 counterpart: one@.\
+       speculative load suffices, and only refinement-guided search sees it.@.\
+       Supporting the new architecture took a lifter descriptor and a decoder@.\
+       into the simulated core's operation set - models, symbolic execution,@.\
+       relation synthesis and the platform are unchanged.@."

@@ -46,6 +46,7 @@ let victim_variant2 =
 (* The attacker probes one B line per candidate value. *)
 let recover_secret fr victim ~train_input ~attack_input ~setup_memory ~candidates =
   let core = Flush_reload.core fr in
+  let victim = Core.decode (Scamv_arch.Isa.Aarch64_program victim) in
   (* 1. Train the predictor with benign inputs. *)
   for _ = 1 to 5 do
     let m = Machine.create () in

@@ -1,9 +1,8 @@
 (** Architectural (in-order, non-speculative) semantics.
 
-    The single-instruction step is exposed so the microarchitectural
-    simulator can reuse it for both committed and transient execution;
     [run] is the reference executor used for differential testing against
-    the BIR lifter and the symbolic engine. *)
+    the BIR lifter, the symbolic engine and the microarchitectural core,
+    which shares {!alu_op}, {!flags_of_cmp} and {!eval_cond}. *)
 
 type event =
   | Fetch of int  (** instruction index executed *)
@@ -12,21 +11,15 @@ type event =
   | Branch of { pc : int; taken : bool; target : int }
       (** resolved direct branch (conditional or not) *)
 
-type step_result = {
-  next_pc : int;
-  events : event list;  (** in program order; [Fetch] first *)
-}
-
-val eval_operand : Machine.t -> Ast.operand -> int64
-val eval_address : Machine.t -> Ast.addressing -> int64
 val eval_cond : Machine.flags -> Ast.cond -> bool
 
 val flags_of_cmp : int64 -> int64 -> Machine.flags
 (** NZCV after [cmp a, b] (i.e. [a - b] at width 64). *)
 
-val step : Ast.program -> Machine.t -> int -> step_result
-(** Execute the instruction at the given index, mutating the machine.
-    @raise Invalid_argument if the index is out of range. *)
+val alu_op :
+  [< `Add | `Sub | `And | `Orr | `Eor | `Lsl | `Lsr | `Asr ] -> int64 -> int64 -> int64
+(** The value an ALU instruction writes; shifts by 64 or more give 0
+    ([lsl]/[lsr]) or the sign fill ([asr]). *)
 
 type trace = event list
 

@@ -1,5 +1,6 @@
 module Ast = Scamv_isa.Ast
 module Rv = Scamv_riscv.Ast
+module Isa = Scamv_arch.Isa
 module Machine = Scamv_isa.Machine
 module Semantics = Scamv_isa.Semantics
 module Platform = Scamv_isa.Platform
@@ -164,6 +165,105 @@ let demand_access t events addr =
   t.rng <- !rng;
   outcome
 
+(* ---- the shared operation set ----
+
+   Every guest program is decoded once into one small vocabulary over
+   machine register slots, and one committed loop and one transient loop
+   run it.  RV64 x[k] (k >= 1) occupies slot k-1 (the
+   [Scamv_riscv.Lift] convention); x0 reads as [Const 0L] and an x0
+   destination is [None].  The only real ISA difference is the branch
+   test: NZCV set by an AArch64 compare, or an RV64 compare-and-branch
+   over two sources. *)
+
+type src = Slot of Reg.t | Const of int64
+
+type test =
+  | Flags of Ast.cond
+  | Regs of src * src * (int64 -> int64 -> bool)
+
+type op =
+  | Nop
+  | Alu of { dst : Reg.t option; a : src; b : src; f : int64 -> int64 -> int64 }
+  | Load of { dst : Reg.t option; base : src; offset : src; scale : int }
+  | Store of { src : src; base : src; offset : src; scale : int }
+  | Compare of src * src
+  | Branch of test * int
+  | Jump of { link : Reg.t option; target : int }
+
+type program = op array
+
+let a64_src = function Ast.Reg r -> Slot r | Ast.Imm v -> Const v
+
+let a64_alu op d a b =
+  Alu { dst = Some d; a = Slot a; b = a64_src b; f = Semantics.alu_op op }
+
+let decode_a64 = function
+  | Ast.Nop -> Nop
+  | Ast.Mov (d, op) -> Alu { dst = Some d; a = a64_src op; b = Const 0L; f = (fun v _ -> v) }
+  | Ast.Add (d, a, b) -> a64_alu `Add d a b
+  | Ast.Sub (d, a, b) -> a64_alu `Sub d a b
+  | Ast.And_ (d, a, b) -> a64_alu `And d a b
+  | Ast.Orr (d, a, b) -> a64_alu `Orr d a b
+  | Ast.Eor (d, a, b) -> a64_alu `Eor d a b
+  | Ast.Lsl (d, a, b) -> a64_alu `Lsl d a b
+  | Ast.Lsr (d, a, b) -> a64_alu `Lsr d a b
+  | Ast.Asr (d, a, b) -> a64_alu `Asr d a b
+  | Ast.Ldr (d, { base; offset; scale }) ->
+    Load { dst = Some d; base = Slot base; offset = a64_src offset; scale }
+  | Ast.Str (s, { base; offset; scale }) ->
+    Store { src = Slot s; base = Slot base; offset = a64_src offset; scale }
+  | Ast.Cmp (a, b) -> Compare (Slot a, a64_src b)
+  | Ast.B_cond (c, target) -> Branch (Flags c, target)
+  | Ast.B target -> Jump { link = None; target }
+
+let rv_src r = if r = 0 then Const 0L else Slot (Reg.x (r - 1))
+let rv_dst r = if r = 0 then None else Some (Reg.x (r - 1))
+let rv_alu f d a b = Alu { dst = rv_dst d; a = rv_src a; b; f }
+let rv_rr f d a b = rv_alu f d a (rv_src b)
+let rv_ri f d a v = rv_alu f d a (Const v)
+
+(* Shift amounts use the low 6 bits (RV64I masking, not the AArch64
+   subset's zero-for-large-amounts rule). *)
+let rv_shift shift x k = shift x (Int64.to_int (Int64.logand k 63L))
+let rv_branch cmp a b target = Branch (Regs (rv_src a, rv_src b, cmp), target)
+
+let decode_rv = function
+  | Rv.Nop -> Nop
+  | Rv.Addi (d, a, v) -> rv_ri Int64.add d a v
+  | Rv.Add (d, a, b) -> rv_rr Int64.add d a b
+  | Rv.Sub (d, a, b) -> rv_rr Int64.sub d a b
+  | Rv.And_ (d, a, b) -> rv_rr Int64.logand d a b
+  | Rv.Or_ (d, a, b) -> rv_rr Int64.logor d a b
+  | Rv.Xor (d, a, b) -> rv_rr Int64.logxor d a b
+  | Rv.Andi (d, a, v) -> rv_ri Int64.logand d a v
+  | Rv.Ori (d, a, v) -> rv_ri Int64.logor d a v
+  | Rv.Xori (d, a, v) -> rv_ri Int64.logxor d a v
+  | Rv.Slli (d, a, k) -> rv_ri (rv_shift Int64.shift_left) d a (Int64.of_int k)
+  | Rv.Srli (d, a, k) -> rv_ri (rv_shift Int64.shift_right_logical) d a (Int64.of_int k)
+  | Rv.Srai (d, a, k) -> rv_ri (rv_shift Int64.shift_right) d a (Int64.of_int k)
+  | Rv.Sll (d, a, b) -> rv_rr (rv_shift Int64.shift_left) d a b
+  | Rv.Srl (d, a, b) -> rv_rr (rv_shift Int64.shift_right_logical) d a b
+  | Rv.Sra (d, a, b) -> rv_rr (rv_shift Int64.shift_right) d a b
+  | Rv.Ld (d, imm, b) -> Load { dst = rv_dst d; base = rv_src b; offset = Const imm; scale = 0 }
+  | Rv.Sd (s, imm, b) -> Store { src = rv_src s; base = rv_src b; offset = Const imm; scale = 0 }
+  | Rv.Beq (a, b, t) -> rv_branch Int64.equal a b t
+  | Rv.Bne (a, b, t) -> rv_branch (fun x y -> not (Int64.equal x y)) a b t
+  | Rv.Blt (a, b, t) -> rv_branch (fun x y -> Int64.compare x y < 0) a b t
+  | Rv.Bge (a, b, t) -> rv_branch (fun x y -> Int64.compare x y >= 0) a b t
+  | Rv.Bltu (a, b, t) -> rv_branch (fun x y -> Int64.unsigned_compare x y < 0) a b t
+  | Rv.Bgeu (a, b, t) -> rv_branch (fun x y -> Int64.unsigned_compare x y >= 0) a b t
+  | Rv.Jal (d, target) -> Jump { link = rv_dst d; target }
+
+let decode = function
+  | Isa.Aarch64_program p -> Array.map decode_a64 p
+  | Isa.Riscv_program p -> Array.map decode_rv p
+
+let value machine = function Slot r -> Machine.get_reg machine r | Const v -> v
+let set machine dst v = match dst with Some r -> Machine.set_reg machine r v | None -> ()
+
+let address machine base offset scale =
+  Int64.add (value machine base) (Int64.shift_left (value machine offset) scale)
+
 (* ---- transient (wrong-path) execution ---- *)
 
 (* Shadow register file with taint bits.  Reads fall back to the
@@ -176,45 +276,29 @@ type shadow = {
 
 let shadow_of machine = { machine; values = Hashtbl.create 8; tainted = Hashtbl.create 8 }
 
-let shadow_get sh r =
-  match Hashtbl.find_opt sh.values (Reg.index r) with
-  | Some v -> v
-  | None -> Machine.get_reg sh.machine r
+let shadow_value sh = function
+  | Slot r -> (
+    match Hashtbl.find_opt sh.values (Reg.index r) with
+    | Some v -> v
+    | None -> Machine.get_reg sh.machine r)
+  | Const v -> v
 
-let shadow_set sh r v ~taint =
-  Hashtbl.replace sh.values (Reg.index r) v;
-  if taint then Hashtbl.replace sh.tainted (Reg.index r) ()
-  else Hashtbl.remove sh.tainted (Reg.index r)
+let shadow_tainted sh = function
+  | Slot r -> Hashtbl.mem sh.tainted (Reg.index r)
+  | Const _ -> false
 
-let shadow_tainted sh r = Hashtbl.mem sh.tainted (Reg.index r)
-
-let operand_value sh = function Ast.Reg r -> shadow_get sh r | Ast.Imm v -> v
-let operand_tainted sh = function Ast.Reg r -> shadow_tainted sh r | Ast.Imm _ -> false
-
-let address_value sh { Ast.base; offset; scale } =
-  Int64.add (shadow_get sh base) (Int64.shift_left (operand_value sh offset) scale)
-
-let address_tainted sh { Ast.base; offset; scale = _ } =
-  shadow_tainted sh base || operand_tainted sh offset
-
-let alu op a b =
-  match op with
-  | `Add -> Int64.add a b
-  | `Sub -> Int64.sub a b
-  | `And -> Int64.logand a b
-  | `Orr -> Int64.logor a b
-  | `Eor -> Int64.logxor a b
-  | `Lsl -> if Scamv_util.Bits.ult b 64L then Int64.shift_left a (Int64.to_int b) else 0L
-  | `Lsr ->
-    if Scamv_util.Bits.ult b 64L then Int64.shift_right_logical a (Int64.to_int b) else 0L
-  | `Asr ->
-    let k = if Scamv_util.Bits.ult b 64L then Int64.to_int b else 63 in
-    Int64.shift_right a (min k 63)
+let shadow_set sh dst v ~taint =
+  match dst with
+  | None -> ()
+  | Some r ->
+    Hashtbl.replace sh.values (Reg.index r) v;
+    if taint then Hashtbl.replace sh.tainted (Reg.index r) ()
+    else Hashtbl.remove sh.tainted (Reg.index r)
 
 (* Execute the wrong path transiently, starting at [pc].  Architectural
    state is never modified; cache and prefetcher are.  [max_loads] is the
    number of transient loads the window admits: 1 when the branch resolves
-   quickly, more when its compare was waiting on a memory load (Sec. 6.5:
+   quickly, more when its operands were waiting on a memory load (Sec. 6.5:
    "in some circumstances Cortex-A53 can execute more than one transient
    load"). *)
 let transient_execute t events program machine ~start_pc ~max_loads =
@@ -224,151 +308,51 @@ let transient_execute t events program machine ~start_pc ~max_loads =
   let rec go pc steps =
     if steps >= t.cfg.spec_window || pc < 0 || pc >= len then ()
     else
-      let continue_at next = go next (steps + 1) in
       match program.(pc) with
-      | Ast.B _ | Ast.B_cond _ ->
+      | Branch _ | Jump _ ->
         (* Depth-one speculation: a further branch ends the window. *)
         ()
-      | Ast.Nop -> continue_at (pc + 1)
-      | Ast.Mov (d, op) ->
-        shadow_set sh d (operand_value sh op) ~taint:(operand_tainted sh op);
-        continue_at (pc + 1)
-      | Ast.Add (d, a, op) -> alu_step d a op `Add pc steps
-      | Ast.Sub (d, a, op) -> alu_step d a op `Sub pc steps
-      | Ast.And_ (d, a, op) -> alu_step d a op `And pc steps
-      | Ast.Orr (d, a, op) -> alu_step d a op `Orr pc steps
-      | Ast.Eor (d, a, op) -> alu_step d a op `Eor pc steps
-      | Ast.Lsl (d, a, op) -> alu_step d a op `Lsl pc steps
-      | Ast.Lsr (d, a, op) -> alu_step d a op `Lsr pc steps
-      | Ast.Asr (d, a, op) -> alu_step d a op `Asr pc steps
-      | Ast.Cmp _ ->
+      | Nop | Compare _ | Store _ ->
         (* Transient flag updates are invisible to the channel and no
-           further transient branch consumes them (depth-one window). *)
-        continue_at (pc + 1)
-      | Ast.Str _ ->
-        (* No allocation before commit. *)
-        continue_at (pc + 1)
-      | Ast.Ldr (d, addr) ->
+           further transient branch consumes them (depth-one window);
+           stores do not allocate before commit. *)
+        go (pc + 1) (steps + 1)
+      | Alu { dst; a; b; f } ->
+        let taint = shadow_tainted sh a || shadow_tainted sh b in
+        shadow_set sh dst (f (shadow_value sh a) (shadow_value sh b)) ~taint;
+        go (pc + 1) (steps + 1)
+      | Load { dst; base; offset; scale } ->
         if
-          ((not t.cfg.speculative_forwarding) && address_tainted sh addr)
+          ((not t.cfg.speculative_forwarding)
+          && (shadow_tainted sh base || shadow_tainted sh offset))
           || !loads >= max_loads
         then begin
           (* The address depends on a previous transient load result: the
              A53 cannot forward it, so no memory request is issued. *)
           t.ctr.transient_suppressed <- t.ctr.transient_suppressed + 1;
           events := Transient_suppressed pc :: !events;
-          shadow_set sh d 0L ~taint:true;
-          continue_at (pc + 1)
+          shadow_set sh dst 0L ~taint:true
         end
         else begin
-          let a = address_value sh addr in
+          let a =
+            Int64.add (shadow_value sh base) (Int64.shift_left (shadow_value sh offset) scale)
+          in
           incr loads;
           t.ctr.transient_loads <- t.ctr.transient_loads + 1;
           events := Transient_load a :: !events;
           ignore (demand_access t events a);
           (* On the A53 the loaded value arrives but is unusable
              downstream; a forwarding core taints nothing. *)
-          shadow_set sh d (Machine.load machine a) ~taint:(not t.cfg.speculative_forwarding);
-          continue_at (pc + 1)
-        end
-  and alu_step d a op kind pc steps =
-    let taint = shadow_tainted sh a || operand_tainted sh op in
-    shadow_set sh d (alu kind (shadow_get sh a) (operand_value sh op)) ~taint;
-    go (pc + 1) (steps + 1)
-  in
-  go start_pc 0
-
-(* ---- RV64 guest ----
-
-   The RISC-V register file shares the machine representation with the
-   AArch64 subset: x[k] (k >= 1) occupies register slot k-1 (the
-   [Scamv_riscv.Lift]/[Translate] convention) and x0 is hardwired to
-   zero.  The microarchitectural machinery — cache, TLB, prefetcher,
-   predictor, transient window, taint — is identical; only instruction
-   decode differs, which is the point of the experiment platform being
-   ISA-generic below the lifter. *)
-
-let rv_slot r = Reg.x (r - 1)
-let rv_get machine r = if r = 0 then 0L else Machine.get_reg machine (rv_slot r)
-let rv_set machine r v = if r <> 0 then Machine.set_reg machine (rv_slot r) v
-let rv_shadow_get sh r = if r = 0 then 0L else shadow_get sh (rv_slot r)
-let rv_shadow_set sh r v ~taint = if r <> 0 then shadow_set sh (rv_slot r) v ~taint
-let rv_shadow_tainted sh r = r <> 0 && shadow_tainted sh (rv_slot r)
-
-(* Register-amount shifts use the low 6 bits of rs2 (RV64I masking, not
-   the AArch64 subset's zero-for-large-amounts rule). *)
-let rv_shift_amount b = Int64.to_int (Int64.logand b 63L)
-
-(* Transient wrong-path execution of an RV64 slice: same window, taint
-   and suppression discipline as the AArch64 path. *)
-let rv_transient_execute t events program machine ~start_pc ~max_loads =
-  let len = Array.length program in
-  let sh = shadow_of machine in
-  let loads = ref 0 in
-  let rec go pc steps =
-    if steps >= t.cfg.spec_window || pc < 0 || pc >= len then ()
-    else
-      let continue_at next = go next (steps + 1) in
-      let alu2 d a b f =
-        let taint = rv_shadow_tainted sh a || rv_shadow_tainted sh b in
-        rv_shadow_set sh d (f (rv_shadow_get sh a) (rv_shadow_get sh b)) ~taint;
-        continue_at (pc + 1)
-      in
-      let alui d a f =
-        rv_shadow_set sh d (f (rv_shadow_get sh a)) ~taint:(rv_shadow_tainted sh a);
-        continue_at (pc + 1)
-      in
-      match program.(pc) with
-      | Rv.Beq _ | Rv.Bne _ | Rv.Blt _ | Rv.Bge _ | Rv.Bltu _ | Rv.Bgeu _ | Rv.Jal _ ->
-        (* Depth-one speculation: a further branch ends the window. *)
-        ()
-      | Rv.Nop -> continue_at (pc + 1)
-      | Rv.Addi (d, a, v) -> alui d a (fun x -> Int64.add x v)
-      | Rv.Add (d, a, b) -> alu2 d a b Int64.add
-      | Rv.Sub (d, a, b) -> alu2 d a b Int64.sub
-      | Rv.And_ (d, a, b) -> alu2 d a b Int64.logand
-      | Rv.Or_ (d, a, b) -> alu2 d a b Int64.logor
-      | Rv.Xor (d, a, b) -> alu2 d a b Int64.logxor
-      | Rv.Andi (d, a, v) -> alui d a (fun x -> Int64.logand x v)
-      | Rv.Ori (d, a, v) -> alui d a (fun x -> Int64.logor x v)
-      | Rv.Xori (d, a, v) -> alui d a (fun x -> Int64.logxor x v)
-      | Rv.Slli (d, a, k) -> alui d a (fun x -> Int64.shift_left x k)
-      | Rv.Srli (d, a, k) -> alui d a (fun x -> Int64.shift_right_logical x k)
-      | Rv.Srai (d, a, k) -> alui d a (fun x -> Int64.shift_right x k)
-      | Rv.Sll (d, a, b) -> alu2 d a b (fun x y -> Int64.shift_left x (rv_shift_amount y))
-      | Rv.Srl (d, a, b) ->
-        alu2 d a b (fun x y -> Int64.shift_right_logical x (rv_shift_amount y))
-      | Rv.Sra (d, a, b) -> alu2 d a b (fun x y -> Int64.shift_right x (rv_shift_amount y))
-      | Rv.Sd _ ->
-        (* No allocation before commit. *)
-        continue_at (pc + 1)
-      | Rv.Ld (d, imm, b) ->
-        if
-          ((not t.cfg.speculative_forwarding) && rv_shadow_tainted sh b)
-          || !loads >= max_loads
-        then begin
-          t.ctr.transient_suppressed <- t.ctr.transient_suppressed + 1;
-          events := Transient_suppressed pc :: !events;
-          rv_shadow_set sh d 0L ~taint:true;
-          continue_at (pc + 1)
-        end
-        else begin
-          let a = Int64.add (rv_shadow_get sh b) imm in
-          incr loads;
-          t.ctr.transient_loads <- t.ctr.transient_loads + 1;
-          events := Transient_load a :: !events;
-          ignore (demand_access t events a);
-          rv_shadow_set sh d (Machine.load machine a)
-            ~taint:(not t.cfg.speculative_forwarding);
-          continue_at (pc + 1)
-        end
+          shadow_set sh dst (Machine.load machine a) ~taint:(not t.cfg.speculative_forwarding)
+        end;
+        go (pc + 1) (steps + 1)
   in
   go start_pc 0
 
 (* ---- committed execution ---- *)
 
 (* How many committed instructions back a register load still delays a
-   dependent compare (roughly the L1 load-to-use window). *)
+   dependent branch (roughly the L1 load-to-use window). *)
 let load_use_window = 4
 
 let run t program machine =
@@ -377,9 +361,15 @@ let run t program machine =
   let events = ref [] in
   let len = Array.length program in
   (* Committed-instruction index at which each register was last loaded
-     from memory; drives the branch-resolution-latency rule above. *)
-  let loaded_at = Array.make Scamv_isa.Reg.count (-1) in
+     from memory; drives the branch-resolution-latency rule. *)
+  let loaded_at = Array.make Reg.count (-1) in
   let instr_count = ref 0 in
+  let recently = function
+    | Slot r ->
+      let at = loaded_at.(Reg.index r) in
+      at >= 0 && !instr_count - at <= load_use_window
+    | Const _ -> false
+  in
   (* Whether the flags currently in effect were produced by a compare
      whose operands were waiting on a recent load. *)
   let flags_delayed = ref false in
@@ -388,10 +378,42 @@ let run t program machine =
     else if fuel = 0 then failwith "Core.run: fuel exhausted"
     else begin
       incr instr_count;
+      charge issue_cycles;
       let next_pc =
         match program.(pc) with
-        | Ast.B_cond (c, target) ->
-          let taken = Semantics.eval_cond (Machine.get_flags machine) c in
+        | Nop -> pc + 1
+        | Alu { dst; a; b; f } ->
+          set machine dst (f (value machine a) (value machine b));
+          pc + 1
+        | Load { dst; base; offset; scale } ->
+          let a = address machine base offset scale in
+          set machine dst (Machine.load machine a);
+          (match dst with Some r -> loaded_at.(Reg.index r) <- !instr_count | None -> ());
+          events := Commit_load a :: !events;
+          let outcome = demand_access t events a in
+          charge (match outcome with `Hit -> l1_hit_cycles | `Miss -> l1_miss_cycles);
+          pc + 1
+        | Store { src; base; offset; scale } ->
+          let a = address machine base offset scale in
+          Machine.store machine a (value machine src);
+          events := Commit_store a :: !events;
+          (* Stores allocate on commit (write-allocate L1). *)
+          count_tlb t (Tlb.access t.tlb a);
+          count_cache t (Cache.access t.cache a);
+          pc + 1
+        | Compare (a, b) ->
+          (* AArch64 latches the load-use bit when the compare executes. *)
+          flags_delayed := recently a || recently b;
+          Machine.set_flags machine (Semantics.flags_of_cmp (value machine a) (value machine b));
+          pc + 1
+        | Branch (test, target) ->
+          (* RV64 compare-and-branch computes the same bit from its own
+             sources when the branch executes. *)
+          let taken =
+            match test with
+            | Flags c -> Semantics.eval_cond (Machine.get_flags machine) c
+            | Regs (a, b, cmp) -> cmp (value machine a) (value machine b)
+          in
           let predicted =
             let p = Predictor.predict t.predictor pc in
             if t.cfg.mispredict_noise > 0.0 && draw_float t < t.cfg.mispredict_noise then
@@ -402,169 +424,27 @@ let run t program machine =
           if predicted = taken then t.ctr.predictor_hits <- t.ctr.predictor_hits + 1
           else t.ctr.predictor_misses <- t.ctr.predictor_misses + 1;
           events := Commit_branch { pc; taken; predicted } :: !events;
-          charge issue_cycles;
           if predicted <> taken then charge mispredict_penalty;
           if predicted <> taken && t.cfg.spec_window > 0 then begin
             let wrong_start = if predicted then min target len else pc + 1 in
-            (* A branch whose compare was not delayed by memory resolves
+            (* A branch whose operands were not delayed by memory resolves
                fast: the window only covers one load issue. *)
+            let delayed =
+              match test with
+              | Flags _ -> !flags_delayed
+              | Regs (a, b, _) -> recently a || recently b
+            in
             let max_loads =
-              if !flags_delayed || t.cfg.speculative_forwarding then t.cfg.spec_max_loads
-              else 1
+              if delayed || t.cfg.speculative_forwarding then t.cfg.spec_max_loads else 1
             in
             transient_execute t events program machine ~start_pc:wrong_start ~max_loads
           end;
           if taken then target else pc + 1
-        | Ast.B target ->
-          (* Direct unconditional branch: predicted perfectly, no
-             straight-line speculation on the A53. *)
-          charge issue_cycles;
-          target
-        | instr ->
-          (match instr with
-          | Ast.Cmp (a, op) ->
-            let recently r =
-              let at = loaded_at.(Scamv_isa.Reg.index r) in
-              at >= 0 && !instr_count - at <= load_use_window
-            in
-            let op_recent = match op with Ast.Reg r -> recently r | Ast.Imm _ -> false in
-            flags_delayed := recently a || op_recent
-          | Ast.Ldr (d, _) -> loaded_at.(Scamv_isa.Reg.index d) <- !instr_count
-          | _ -> ());
-          let { Semantics.next_pc; events = arch_events } =
-            Semantics.step program machine pc
-          in
-          charge issue_cycles;
-          List.iter
-            (function
-              | Semantics.Load a ->
-                events := Commit_load a :: !events;
-                let outcome = demand_access t events a in
-                charge (match outcome with `Hit -> l1_hit_cycles | `Miss -> l1_miss_cycles)
-              | Semantics.Store a ->
-                events := Commit_store a :: !events;
-                (* Stores allocate on commit (write-allocate L1). *)
-                count_tlb t (Tlb.access t.tlb a);
-                count_cache t (Cache.access t.cache a)
-              | Semantics.Fetch _ | Semantics.Branch _ -> ())
-            arch_events;
-          next_pc
-      in
-      go next_pc (fuel - 1)
-    end
-  in
-  go 0 t.cfg.fuel;
-  List.rev !events
-
-(* Committed RV64 execution.  The structure mirrors [run]; the
-   branch-resolution-latency rule has no flags to watch, so a
-   compare-and-branch resolves slowly exactly when one of its *source
-   registers* was recently loaded (same load-to-use window). *)
-let run_rv64 t program machine =
-  t.cycles <- 0;
-  let charge c = t.cycles <- t.cycles + c in
-  let events = ref [] in
-  let len = Array.length program in
-  (* Committed-instruction index at which each RV64 register was last
-     loaded from memory (index 0 is never set: x0 is constant). *)
-  let loaded_at = Array.make 32 (-1) in
-  let instr_count = ref 0 in
-  let recently r = r <> 0 && loaded_at.(r) >= 0 && !instr_count - loaded_at.(r) <= load_use_window in
-  let branch pc a b target ~taken =
-    let predicted =
-      let p = Predictor.predict t.predictor pc in
-      if t.cfg.mispredict_noise > 0.0 && draw_float t < t.cfg.mispredict_noise then not p
-      else p
-    in
-    Predictor.update t.predictor pc ~taken;
-    if predicted = taken then t.ctr.predictor_hits <- t.ctr.predictor_hits + 1
-    else t.ctr.predictor_misses <- t.ctr.predictor_misses + 1;
-    events := Commit_branch { pc; taken; predicted } :: !events;
-    charge issue_cycles;
-    if predicted <> taken then charge mispredict_penalty;
-    if predicted <> taken && t.cfg.spec_window > 0 then begin
-      let wrong_start = if predicted then min target len else pc + 1 in
-      let max_loads =
-        if recently a || recently b || t.cfg.speculative_forwarding then
-          t.cfg.spec_max_loads
-        else 1
-      in
-      rv_transient_execute t events program machine ~start_pc:wrong_start ~max_loads
-    end;
-    if taken then target else pc + 1
-  in
-  let rec go pc fuel =
-    if pc < 0 || pc >= len then ()
-    else if fuel = 0 then failwith "Core.run_rv64: fuel exhausted"
-    else begin
-      incr instr_count;
-      let alu d v =
-        rv_set machine d v;
-        charge issue_cycles;
-        pc + 1
-      in
-      let next_pc =
-        match program.(pc) with
-        | Rv.Nop ->
-          charge issue_cycles;
-          pc + 1
-        | Rv.Addi (d, a, v) -> alu d (Int64.add (rv_get machine a) v)
-        | Rv.Add (d, a, b) -> alu d (Int64.add (rv_get machine a) (rv_get machine b))
-        | Rv.Sub (d, a, b) -> alu d (Int64.sub (rv_get machine a) (rv_get machine b))
-        | Rv.And_ (d, a, b) -> alu d (Int64.logand (rv_get machine a) (rv_get machine b))
-        | Rv.Or_ (d, a, b) -> alu d (Int64.logor (rv_get machine a) (rv_get machine b))
-        | Rv.Xor (d, a, b) -> alu d (Int64.logxor (rv_get machine a) (rv_get machine b))
-        | Rv.Andi (d, a, v) -> alu d (Int64.logand (rv_get machine a) v)
-        | Rv.Ori (d, a, v) -> alu d (Int64.logor (rv_get machine a) v)
-        | Rv.Xori (d, a, v) -> alu d (Int64.logxor (rv_get machine a) v)
-        | Rv.Slli (d, a, k) -> alu d (Int64.shift_left (rv_get machine a) k)
-        | Rv.Srli (d, a, k) -> alu d (Int64.shift_right_logical (rv_get machine a) k)
-        | Rv.Srai (d, a, k) -> alu d (Int64.shift_right (rv_get machine a) k)
-        | Rv.Sll (d, a, b) ->
-          alu d (Int64.shift_left (rv_get machine a) (rv_shift_amount (rv_get machine b)))
-        | Rv.Srl (d, a, b) ->
-          alu d
-            (Int64.shift_right_logical (rv_get machine a)
-               (rv_shift_amount (rv_get machine b)))
-        | Rv.Sra (d, a, b) ->
-          alu d (Int64.shift_right (rv_get machine a) (rv_shift_amount (rv_get machine b)))
-        | Rv.Ld (d, imm, b) ->
-          let a = Int64.add (rv_get machine b) imm in
-          rv_set machine d (Machine.load machine a);
-          if d <> 0 then loaded_at.(d) <- !instr_count;
-          charge issue_cycles;
-          events := Commit_load a :: !events;
-          let outcome = demand_access t events a in
-          charge (match outcome with `Hit -> l1_hit_cycles | `Miss -> l1_miss_cycles);
-          pc + 1
-        | Rv.Sd (src, imm, b) ->
-          let a = Int64.add (rv_get machine b) imm in
-          Machine.store machine a (rv_get machine src);
-          charge issue_cycles;
-          events := Commit_store a :: !events;
-          (* Stores allocate on commit (write-allocate L1). *)
-          count_tlb t (Tlb.access t.tlb a);
-          count_cache t (Cache.access t.cache a);
-          pc + 1
-        | Rv.Beq (a, b, t') ->
-          branch pc a b t' ~taken:(Int64.equal (rv_get machine a) (rv_get machine b))
-        | Rv.Bne (a, b, t') ->
-          branch pc a b t' ~taken:(not (Int64.equal (rv_get machine a) (rv_get machine b)))
-        | Rv.Blt (a, b, t') ->
-          branch pc a b t' ~taken:(Int64.compare (rv_get machine a) (rv_get machine b) < 0)
-        | Rv.Bge (a, b, t') ->
-          branch pc a b t' ~taken:(Int64.compare (rv_get machine a) (rv_get machine b) >= 0)
-        | Rv.Bltu (a, b, t') ->
-          branch pc a b t'
-            ~taken:(Int64.unsigned_compare (rv_get machine a) (rv_get machine b) < 0)
-        | Rv.Bgeu (a, b, t') ->
-          branch pc a b t'
-            ~taken:(Int64.unsigned_compare (rv_get machine a) (rv_get machine b) >= 0)
-        | Rv.Jal (d, target) ->
-          (* Direct unconditional jump: predicted perfectly, like [B];
-             the link value is an instruction index. *)
-          rv_set machine d (Int64.of_int (pc + 1));
-          charge issue_cycles;
+        | Jump { link; target } ->
+          (* Direct unconditional jump: predicted perfectly, no
+             straight-line speculation on the A53.  The link value is an
+             instruction index. *)
+          set machine link (Int64.of_int (pc + 1));
           target
       in
       go next_pc (fuel - 1)

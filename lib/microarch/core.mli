@@ -71,21 +71,27 @@ val reset_cache : t -> unit
 val reset_predictor : t -> unit
 val reseed : t -> int64 -> unit
 
-val run : t -> Scamv_isa.Ast.program -> Scamv_isa.Machine.t -> event list
+type program
+(** A guest program decoded into the core's shared operation set: one
+    small vocabulary (ALU, load, store, compare, branch, jump) over
+    machine register slots, run by one committed and one transient loop
+    for every ISA.  RV64 x[k] occupies machine register slot k-1 (the
+    {!Scamv_riscv.Lift} convention) and x0 reads as zero.  The ISAs differ
+    only in the branch test: an AArch64 [b.cond] reads the flags, and its
+    compare latches whether an operand was recently loaded; an RV64
+    compare-and-branch computes the same bit from its own sources.  A
+    slow branch admits the full transient-load window. *)
+
+val decode : Scamv_arch.Isa.program -> program
+(** Decode once per experiment; the result can be run any number of
+    times. *)
+
+val run : t -> program -> Scamv_isa.Machine.t -> event list
 (** Execute the program to completion, mutating the machine (architectural
     effects) and the cache/predictor state (microarchitectural effects).
     Returns the event trace in issue order.
-    @raise Failure when fuel is exhausted. *)
-
-val run_rv64 : t -> Scamv_riscv.Ast.program -> Scamv_isa.Machine.t -> event list
-(** [run] for the RV64 guest: same cache/TLB/prefetcher/predictor
-    machinery and the same transient-execution discipline, with RISC-V
-    decode.  RV64 x[k] occupies machine register slot k-1 (the
-    {!Scamv_riscv.Lift} convention); compare-and-branch resolves slowly —
-    admitting the full transient-load window — when a source register of
-    the compare was recently loaded (the flag-latency rule without
-    flags).
-    @raise Failure when fuel is exhausted. *)
+    @raise Failure ["Core.run: fuel exhausted"] after [fuel] committed
+    instructions (cyclic programs only). *)
 
 val last_run_cycles : t -> int
 (** Cycle count of the most recent [run] under a simple timing model

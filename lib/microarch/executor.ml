@@ -25,11 +25,6 @@ type experiment = {
   train : Machine.t list;
 }
 
-let run_guest core program machine =
-  match program with
-  | Scamv_arch.Isa.Aarch64_program p -> Core.run core p machine
-  | Scamv_arch.Isa.Riscv_program p -> Core.run_rv64 core p machine
-
 let take_view cfg core =
   match cfg.view with
   | Full_cache -> Cache.snapshot (Core.cache core)
@@ -47,10 +42,10 @@ let measured_run ?faults cfg core program ~train state =
   List.iter
     (fun st ->
       Core.reset_cache core;
-      ignore (run_guest core program (Machine.copy st)))
+      ignore (Core.run core program (Machine.copy st)))
     (List.concat_map (fun st -> List.init cfg.train_runs (fun _ -> st)) train);
   Core.reset_cache core;
-  ignore (run_guest core program (Machine.copy state));
+  ignore (Core.run core program (Machine.copy state));
   let view = take_view cfg core in
   match faults with None -> Some view | Some f -> Faults.apply f view
 
@@ -80,6 +75,7 @@ let stable_view ?faults cfg core rng program ~train state =
 let run_observed ?(seed = 0L) ?faults cfg { program; state1; state2; train } =
   let module Tm = Scamv_telemetry.Collector in
   let core = Core.create cfg.core in
+  let program = Core.decode program in
   let rng = ref (Splitmix.of_seed seed) in
   let faults = Option.map (fun f -> Faults.start f ~run_seed:seed) faults in
   let verdict =
@@ -112,4 +108,4 @@ let run ?seed ?faults cfg experiment = fst (run_observed ?seed ?faults cfg exper
 let observe_once ?(seed = 0L) cfg program ~train state =
   let core = Core.create ~seed cfg.core in
   (* No fault injection: the measurement is always present. *)
-  Option.get (measured_run cfg core program ~train state)
+  Option.get (measured_run cfg core (Core.decode program) ~train state)

@@ -2,9 +2,10 @@
 
     Scam-V supports multiple architectures by translating binaries into a
     common intermediate form (Sec. 2.3: "Currently ARMv8, CortexM0, and
-    RISC-V"); here, RISC-V programs are translated to the AArch64-subset
-    ISA by {!Translate}, after which the whole pipeline (models, symbolic
-    execution, relation synthesis, simulator) applies unchanged.
+    RISC-V"); here, RISC-V programs are lifted to BIR by {!Lift}, after
+    which the whole pipeline (models, symbolic execution, relation
+    synthesis) applies unchanged, and the simulated core decodes them
+    into the operation set it shares with the AArch64 subset.
 
     Registers are [x0 .. x31] with [x0] hardwired to zero.  Branch and
     jump targets are instruction indexes. *)
@@ -29,9 +30,8 @@ type instr =
   | Srli of reg * reg * int
   | Srai of reg * reg * int
   | Sll of reg * reg * reg
-      (** register-amount shifts use the low 6 bits of rs2 — semantics the
-          AArch64 subset cannot express, so {!Translate} rejects them;
-          the native lifter {!Lift} accepts them *)
+      (** register-amount shifts use the low 6 bits of rs2, unlike the
+          AArch64 subset, whose shifts yield 0 for amounts >= 64 *)
   | Srl of reg * reg * reg
   | Sra of reg * reg * reg
   | Ld of reg * int64 * reg  (** [Ld (rd, imm, rs1)] = rd := mem[rs1 + imm] *)
@@ -42,7 +42,9 @@ type instr =
   | Bge of reg * reg * int
   | Bltu of reg * reg * int
   | Bgeu of reg * reg * int
-  | Jal of reg * int  (** only [rd = x0] (plain jump) is translatable *)
+  | Jal of reg * int
+      (** [rd := pc + 1] (an instruction index), then jump; [rd = x0] is a
+          plain jump *)
   | Nop
 
 type program = instr array

@@ -10,9 +10,8 @@ let reg_term r = if r = 0 then Term.bv_const 0L 64 else Term.bv_var (reg_var r) 
    observes) the access without an assignment, and so on. *)
 let assign d e = if d = 0 then [] else [ (reg_var d, e) ]
 
-(* Register-amount shifts use only the low 6 bits of rs2 (RV64I) — the
-   semantics the lossy translator cannot express in the AArch64 subset,
-   whose shifts yield 0 for amounts >= 64. *)
+(* Register-amount shifts use only the low 6 bits of rs2 (RV64I), unlike
+   the AArch64 subset, whose shifts yield 0 for amounts >= 64. *)
 let shift_amount b = Term.logand (reg_term b) (Term.bv_const 63L 64)
 
 let fall assigns = { Arch.assigns; access = Arch.No_access; control = Arch.Fallthrough }
@@ -71,8 +70,8 @@ let lift_instr ~pc instr =
     }
 
 (* x1..x31 in machine-slot order: RV64 x[k] lives in slot k-1, the same
-   convention as [Translate.map_reg], so machine states and simulator
-   runs are directly comparable across the two frontends. *)
+   convention as the simulated core's decoder ([Scamv_microarch.Core]),
+   so concretized machine states run there unchanged. *)
 let registers = List.init 31 (fun i -> Ast.reg_name (i + 1))
 
 let arch =

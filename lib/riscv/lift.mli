@@ -1,12 +1,10 @@
 (** Native RV64 -> BIR lifting: the architecture descriptor that makes
-    RISC-V a first-class guest, with no translation detour through the
-    AArch64 subset.
+    RISC-V a first-class guest.
 
     Canonical BIR variables are ["x1" .. "x31"] (64-bit) plus the shared
     memory variable; [x0] reads lower to the constant 0 and writes to it
-    produce no assignment, so every x0 idiom the lossy {!Translate} pass
-    rejects is liftable here, as are register-amount shifts (6-bit amount
-    masking) and linking [jal].  Branches lower to compare-and-branch
+    produce no assignment, so every x0 idiom is liftable, as are
+    register-amount shifts (6-bit amount masking) and linking [jal].  Branches lower to compare-and-branch
     conditions over the register variables directly — the architecture
     has no flags ([Arch.has_flags = false]). *)
 
@@ -18,8 +16,8 @@ val reg_term : Ast.reg -> Scamv_smt.Term.t
 
 val registers : string list
 (** ["x1" .. "x31"] in machine-slot order: RV64 x[k] occupies slot k-1 of
-    a {!Scamv_isa.Machine.t}, the same convention as
-    {!Translate.map_reg}. *)
+    a {!Scamv_isa.Machine.t}, the same convention as the simulated core
+    ([Scamv_microarch.Core.decode]). *)
 
 val arch : Ast.instr Scamv_bir.Arch.t
 

@@ -1,6 +1,6 @@
 (** Native RV64 reference semantics, used to differentially test the
-    {!Translate} pass: running a RISC-V program here and running its
-    translation on the AArch64-subset reference semantics must agree. *)
+    native lifter {!Lift} and the simulated core: both must reach the
+    register file and memory this interpreter computes. *)
 
 type state
 

@@ -60,12 +60,13 @@ let test_tlb_capacity_validated () =
 (* ---- core/TLB integration ---- *)
 
 let quiet = { Core.cortex_a53 with Core.prefetch_fire_prob = 1.0; mispredict_noise = 0.0 }
+let run_a64 core program m = Core.run core (Core.decode (Scamv_arch.Isa.Aarch64_program program)) m
 
 let test_core_loads_touch_tlb () =
   let core = Core.create quiet in
   let m = Machine.create () in
   Machine.set_reg m (x 0) 0x8000_0000L;
-  ignore (Core.run core [| Ast.Ldr (x 1, addr (x 0) (Ast.Imm 0L)) |] m);
+  ignore (run_a64 core [| Ast.Ldr (x 1, addr (x 0) (Ast.Imm 0L)) |] m);
   Alcotest.(check bool) "page resident" true (Tlb.contains (Core.tlb core) 0x8000_0000L)
 
 let test_transient_loads_touch_tlb () =
@@ -87,10 +88,10 @@ let test_transient_loads_touch_tlb () =
   let core = Core.create quiet in
   for _ = 1 to 5 do
     Core.reset_cache core;
-    ignore (Core.run core program (Machine.copy t))
+    ignore (run_a64 core program (Machine.copy t))
   done;
   Core.reset_cache core;
-  ignore (Core.run core program (Machine.copy s));
+  ignore (run_a64 core program (Machine.copy s));
   Alcotest.(check bool) "transient page resident" true
     (Tlb.contains (Core.tlb core) 0x8013_0000L)
 
@@ -98,7 +99,7 @@ let test_reset_cache_clears_tlb () =
   let core = Core.create quiet in
   let m = Machine.create () in
   Machine.set_reg m (x 0) 0x8000_0000L;
-  ignore (Core.run core [| Ast.Ldr (x 1, addr (x 0) (Ast.Imm 0L)) |] m);
+  ignore (run_a64 core [| Ast.Ldr (x 1, addr (x 0) (Ast.Imm 0L)) |] m);
   Core.reset_cache core;
   Alcotest.(check (list Alcotest.int64)) "tlb cleared" [] (Tlb.snapshot (Core.tlb core))
 
@@ -211,10 +212,10 @@ let test_forwarding_core_issues_dependent_load () =
     let core = Core.create { cfg with Core.mispredict_noise = 0.0 } in
     for _ = 1 to 5 do
       Core.reset_cache core;
-      ignore (Core.run core program (Machine.copy t))
+      ignore (run_a64 core program (Machine.copy t))
     done;
     Core.reset_cache core;
-    let events = Core.run core program (Machine.copy s) in
+    let events = run_a64 core program (Machine.copy s) in
     List.length (List.filter (function Core.Transient_load _ -> true | _ -> false) events)
   in
   Alcotest.(check Alcotest.int) "A53: only first load" 1 (run Core.cortex_a53);
