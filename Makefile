@@ -7,7 +7,7 @@ SMOKE = campaign --template A --setup mct-vs-mspec -p 6 -k 4 --seed 2021 \
 	--fault-rate 0.1 --fault-seed 7 --max-attempts 3 --max-conflicts 100 \
 	--portfolio 2
 
-.PHONY: all build test smoke check bench bench-smoke chaos-smoke metrics-smoke solver-smoke serve-smoke diff-smoke perf-check perf-golden service-perf-check clean
+.PHONY: all build test smoke check bench chaos-smoke metrics-smoke solver-smoke serve-smoke diff-smoke perf-check perf-golden service-perf-check clean
 
 all: build
 
@@ -28,15 +28,6 @@ check: build test smoke
 bench:
 	$(DUNE) exec bench/main.exe
 
-# Small multicore campaign benchmark: times the same seeded campaign at
-# --jobs 1/2/4 plus the solver microbenchmark (blast/solve/enumerate in
-# isolation), writes BENCH_campaign.json, and validates the emitted schema
-# (cross-checking that statistics are identical across job counts).
-bench-smoke: build
-	$(DUNE) exec bench/main.exe -- solver
-	$(DUNE) exec bench/main.exe -- campaign --smoke --out BENCH_campaign.smoke.json
-	$(DUNE) exec bench/main.exe -- validate-bench BENCH_campaign.smoke.json
-
 # Supervision acceptance: SIGKILL a journaled campaign mid-flight, tear
 # the journal tail, and require the resumed run to match an uninterrupted
 # one byte for byte; then require chaos worker-kill and virtual-deadline
@@ -44,12 +35,10 @@ bench-smoke: build
 chaos-smoke: build
 	$(DUNE) exec bench/main.exe -- chaos --smoke
 
-# Solver smoke: the phase-isolated solver microbenchmark plus the
-# deterministic portfolio race, then the incremental-vs-fresh identity
-# check (a staged make_session + extend session must enumerate byte-for-
-# byte the same models as a fresh session asserting everything at once).
+# Solver smoke: the incremental-vs-fresh identity check (a staged
+# make_session + extend session must enumerate byte-for-byte the same
+# models as a fresh session asserting everything at once).
 solver-smoke: build
-	$(DUNE) exec bench/main.exe -- solver
 	$(DUNE) exec bench/main.exe -- solver-identity
 
 # Validation-service acceptance: boot an in-process HTTP server and check
@@ -59,11 +48,9 @@ solver-smoke: build
 # reuse witnessed by the server's own counters, quota 429 backpressure
 # plus queued-campaign cancellation over the wire, and SIGKILL of a
 # --concurrency 2 server with two campaigns mid-flight followed by a
-# --resume restart that completes both byte-identically.  Then a small
-# load run (two client mixes + the concurrency-scaling sweep) writes the
-# latency/throughput report.
+# --resume restart that completes both byte-identically.
 serve-smoke: build
-	$(DUNE) exec bench/main.exe -- service --smoke --out BENCH_service.smoke.json
+	$(DUNE) exec bench/main.exe -- service
 
 # Cross-ISA acceptance: the same frozen-clock differential campaign at
 # --jobs 1 and --jobs 2 must print identical divergence reports and
@@ -82,13 +69,18 @@ diff-smoke: build
 	sed 's/diff\.smoke\.j[12]\.csv/JOURNAL/' diff.smoke.j2.out > diff.smoke.j2.norm
 	cmp diff.smoke.j1.norm diff.smoke.j2.norm
 
-# Perf regression gate: re-run the committed campaign benchmark (same
-# deterministic seed and size — the "full" config is itself smoke-scale,
-# a few seconds end to end) and fail if the fresh jobs=1 generation-phase
-# time is more than 25% above the committed BENCH_campaign.json.
-perf-check: build
-	$(DUNE) exec bench/main.exe -- campaign --out BENCH_campaign.perfcheck.json
-	$(DUNE) exec bench/main.exe -- compare-bench BENCH_campaign.json BENCH_campaign.perfcheck.json
+# Perf regression gates: run perfbench on HEAD (a detached worktree in
+# .perfbench-base/) and on the working tree, seeds 1-3 alternating which
+# side runs first, and fail on a failed output check, more failed
+# operations, or a gated median worse than HEAD's by more than its bound.
+# perf-check gates refined-a experiments_per_s and the generation layers
+# (pipeline.prepare_s, pipeline.next_case_s); service-perf-check gates
+# served-small campaigns_per_s and campaign_p95_s.  See bench/perf_gate.py.
+perf-check:
+	python3 bench/perf_gate.py perf-check
+
+service-perf-check:
+	python3 bench/perf_gate.py service-perf-check
 
 # Search-identity gate: the default-seed work counts of every benchmark
 # workload (verdicts, uarch counts, SAT conflicts, propagations and
@@ -117,16 +109,6 @@ metrics-smoke: build
 	$(DUNE) exec bench/main.exe -- service-metrics --out metrics.service.smoke.txt
 	$(DUNE) exec bench/main.exe -- validate-telemetry trace.smoke.json \
 		metrics.smoke.txt metrics.service.smoke.txt
-
-# Service perf regression gate: re-run the load generator (suite skipped)
-# and fail if the fresh concurrency-1 throughput drops below half the
-# committed BENCH_service.json, or p95 latency more than doubles.  Bounds
-# are loose on purpose: service numbers ride on threads and loopback TCP.
-service-perf-check: build
-	$(DUNE) exec bench/main.exe -- service --load-only \
-		--out BENCH_service.perfcheck.json
-	$(DUNE) exec bench/main.exe -- compare-service BENCH_service.json \
-		BENCH_service.perfcheck.json
 
 clean:
 	$(DUNE) clean

@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Sec. 6) on the simulated platform, plus the ablation
-   studies called out in DESIGN.md and bechamel micro-benchmarks.
+   studies called out in DESIGN.md, and hosts the acceptance gates the
+   Makefile's smoke targets run.
 
    Usage:
      dune exec bench/main.exe                 -- everything, scaled down
@@ -8,8 +9,19 @@
      dune exec bench/main.exe -- fig7         -- Fig. 7 table only
      dune exec bench/main.exe -- fig3         -- Fig. 3 class counts
      dune exec bench/main.exe -- ablations    -- ablation studies
-     dune exec bench/main.exe -- micro        -- bechamel micro-benches
+     dune exec bench/main.exe -- repair       -- model-repair extension
+     dune exec bench/main.exe -- channels     -- other side channels
      dune exec bench/main.exe -- --full ...   -- paper-sized campaigns
+
+   Gates (exit nonzero on failure):
+     solver-identity                          -- `make solver-smoke`
+     chaos --smoke                            -- `make chaos-smoke`
+     service                                  -- `make serve-smoke`
+     service-metrics --out F                  -- /metrics dump of a live server
+     validate-telemetry TRACE METRICS [SVC]   -- `make metrics-smoke`
+
+   Timing lives in perfbench/ (see BENCHMARK.json); `make perf-check` and
+   `make service-perf-check` compare it between HEAD and the working tree.
 
    Absolute numbers differ from the paper (simulator vs 4 Raspberry Pi
    boards over 7 days); the *shape* — which campaigns find
@@ -27,13 +39,14 @@ module Region = Scamv_models.Region
 module Templates = Scamv_gen.Templates
 module Gen = Scamv_gen.Gen
 module Campaign = Scamv.Campaign
-module Pipeline = Scamv.Pipeline
 module Stats = Scamv.Stats
 module Text_table = Scamv_util.Text_table
 module Exec = Scamv_symbolic.Exec
 module Synth = Scamv_relation.Synth
 module Solver = Scamv_smt.Solver
-module T = Scamv_smt.Term
+module Json = Scamv_util.Json
+module Metrics = Scamv_telemetry.Metrics
+module Collector = Scamv_telemetry.Collector
 
 let platform = Platform.cortex_a53
 let region = Region.paper_unaligned platform
@@ -614,343 +627,6 @@ let channels () =
     (Text_table.render ~header:[ "validation"; "counterexamples"; "experiments" ] ~rows)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  Format.printf "@.## Bechamel micro-benchmarks (one per table/figure + primitives)@.@.%!";
-  let open Bechamel in
-  let program_a = (Gen.generate ~seed:7L Templates.template_a).Templates.program in
-  let program_c = (Gen.generate ~seed:7L Templates.template_c).Templates.program in
-  let stride = (Gen.generate ~seed:7L Templates.stride).Templates.program in
-  (* Table 1, cache-coloring columns: one refinement-guided test case. *)
-  let t_table1_mpart =
-    let setup = Refinement.mpart_vs_mpart' platform region in
-    let cfg = Pipeline.default_config setup in
-    Test.make ~name:"table1 mpart-refined test case"
-      (Staged.stage (fun () ->
-           let s = Pipeline.prepare cfg stride in
-           ignore (Pipeline.next_test_case s)))
-  in
-  (* Table 1, speculation columns: one refinement-guided test case. *)
-  let t_table1_mct =
-    let setup = Refinement.mct_vs_mspec () in
-    let cfg = Pipeline.default_config setup in
-    Test.make ~name:"table1 mct-A-refined test case"
-      (Staged.stage (fun () ->
-           let s = Pipeline.prepare cfg program_a in
-           ignore (Pipeline.next_test_case s)))
-  in
-  (* Fig. 7: Mspec1 preparation on template C. *)
-  let t_fig7 =
-    let setup = Refinement.mspec1_vs_mspec () in
-    let cfg = Pipeline.default_config setup in
-    Test.make ~name:"fig7 mspec1-C preparation"
-      (Staged.stage (fun () -> ignore (Pipeline.prepare cfg program_c)))
-  in
-  (* Fig. 3: symbolic execution of the instrumented running example. *)
-  let t_fig3 =
-    let bir = Refinement.annotate (Refinement.mct_vs_mspec ()) running_example in
-    Test.make ~name:"fig3 symbolic execution" (Staged.stage (fun () -> ignore (Exec.execute bir)))
-  in
-  (* Fig. 6: one full experiment (training + 2 x 10 measured runs). *)
-  let t_fig6 =
-    let setup = Refinement.mct_vs_mspec () in
-    let cfg = Pipeline.default_config setup in
-    let session = Pipeline.prepare cfg program_a in
-    let tc =
-      match Pipeline.next_test_case session with
-      | Pipeline.Case tc -> tc
-      | Pipeline.Exhausted | Pipeline.Quarantined _ | Pipeline.Crashed _ ->
-        failwith "bench: expected a test case"
-    in
-    let experiment =
-      {
-        Executor.program = program_a;
-        state1 = tc.Pipeline.state1;
-        state2 = tc.Pipeline.state2;
-        train = tc.Pipeline.train;
-      }
-    in
-    Test.make ~name:"fig6 one experiment on the simulator"
-      (Staged.stage (fun () -> ignore (Executor.run (Executor.default_config ()) experiment)))
-  in
-  (* Substrate primitives. *)
-  let t_sat =
-    Test.make ~name:"primitive SMT solve (64-bit add relation)"
-      (Staged.stage (fun () ->
-           let a = T.bv_var "a" 64 and b = T.bv_var "b" 64 in
-           ignore (Solver.solve [ T.eq (T.add a b) (T.bv_const 12345L 64); T.ult a b ])))
-  in
-  let t_sim =
-    let core = Core.create Core.cortex_a53 in
-    let stride = Core.decode (Gen.generate ~seed:7L Templates.stride).Templates.program in
-    Test.make ~name:"primitive simulator run (stride)"
-      (Staged.stage (fun () ->
-           Core.reset_cache core;
-           let m = Scamv_isa.Machine.create () in
-           Scamv_isa.Machine.set_reg m (Reg.x 12) platform.Platform.mem_base;
-           ignore (Core.run core stride m)))
-  in
-  let tests =
-    Test.make_grouped ~name:"scamv" ~fmt:"%s %s"
-      [ t_table1_mpart; t_table1_mct; t_fig7; t_fig3; t_fig6; t_sat; t_sim ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns = match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> Float.nan in
-      rows := [ name; Printf.sprintf "%11.0f ns" ns ] :: !rows)
-    results;
-  print_string
-    (Text_table.render ~header:[ "benchmark"; "time per run" ] ~rows:(List.sort compare !rows))
-
-(* ------------------------------------------------------------------ *)
-(* Multicore campaign benchmark (BENCH_campaign.json)                  *)
-(* ------------------------------------------------------------------ *)
-
-module Json = Scamv_util.Json
-module Metrics = Scamv_telemetry.Metrics
-module Collector = Scamv_telemetry.Collector
-
-(* ------------------------------------------------------------------ *)
-(* Solver microbenchmark (blast / solve / enumerate in isolation)      *)
-(* ------------------------------------------------------------------ *)
-
-(* Times the three phases of the generation hot path separately on a
-   fixed seeded workload (every relation of one template-A program under
-   Mct-vs-Mspec):
-
-   - blast: session construction only — array elimination, Tseitin
-     blasting, tracked-input allocation — once with a private blast graph
-     per session (the pre-shared-cache behaviour) and once with one graph
-     shared across all sessions (what the pipeline does per program);
-   - first_model: the initial SAT solve + lexicographic minimization of
-     each session;
-   - enumerate: draws under accumulated blocking clauses.
-
-   The workload is deterministic (fixed generator and session seeds); the
-   times land in BENCH_campaign.json next to the campaign numbers so the
-   perf trajectory of the solver itself is tracked, not just end-to-end
-   campaign wall time.
-
-   Every phase is run [reps] times and each rep is timed on its own: the
-   JSON carries the per-rep minimum and median next to the legacy
-   all-reps sum (the [*_seconds] keys keep their historical scale so
-   committed baselines stay comparable).  The minimum is the
-   least-noise estimate of the work itself; the median guards against
-   reading too much into one quiet scheduler tick. *)
-let summarize_reps times =
-  let sorted = Array.copy times in
-  Array.sort compare sorted;
-  let n = Array.length sorted in
-  let median =
-    if n land 1 = 1 then sorted.(n / 2)
-    else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
-  in
-  (Array.fold_left ( +. ) 0. times, sorted.(0), median)
-
-let solver_microbench () =
-  let reps = 3 in
-  let draws = 4 in
-  let setup = Refinement.mct_vs_mspec () in
-  let scfg = { Synth.platform; require_refined_difference = true } in
-  (* One relation group per seeded program; the shared-graph variant shares
-     a blast graph *within* each group, exactly as the pipeline does. *)
-  let groups =
-    List.map
-      (fun seed ->
-        let program = arm_draw ~seed Templates.template_a in
-        let leaves = Exec.execute (Refinement.annotate setup program) in
-        let prepared = Synth.prepare scfg leaves in
-        List.filter_map
-          (Synth.pair_relation_prepared prepared)
-          (Synth.compatible_pairs leaves))
-      [ 11L; 12L; 13L; 14L; 15L; 16L ]
-  in
-  let n_relations = List.length (List.concat groups) in
-  let make ?graph (r : Synth.pair_relation) =
-    Solver.make_session ~seed:1L ?graph r.Synth.assertions
-  in
-  let rep_times f = Array.init reps (fun rep -> snd (time_it (fun () -> f rep))) in
-  let blast_private =
-    rep_times (fun _ -> List.iter (List.iter (fun r -> ignore (make r))) groups)
-  in
-  let blast_shared =
-    rep_times (fun _ ->
-        List.iter
-          (fun group ->
-            let graph = Scamv_smt.Blaster.new_graph () in
-            List.iter (fun r -> ignore (make ~graph r)) group)
-          groups)
-  in
-  let sessions () =
-    List.concat_map
-      (fun group ->
-        let graph = Scamv_smt.Blaster.new_graph () in
-        List.map (make ~graph) group)
-      groups
-  in
-  let batches = Array.init reps (fun _ -> sessions ()) in
-  let first_model =
-    rep_times (fun rep ->
-        List.iter (fun s -> ignore (Solver.next_model s)) batches.(rep))
-  in
-  let models = ref 0 in
-  let enumerate =
-    rep_times (fun rep ->
-        List.iter
-          (fun s ->
-            for _ = 1 to draws do
-              match Solver.next_model s with
-              | Solver.Model _ -> incr models
-              | Solver.Exhausted | Solver.Budget_exceeded -> ()
-            done)
-          batches.(rep))
-  in
-  Format.printf "@.## Solver microbenchmark (%d relations x %d reps)@.@."
-    n_relations reps;
-  let print_phase label times =
-    let sum, mn, md = summarize_reps times in
-    Format.printf "%s %.4fs total (min %.4f / median %.4f per rep)@." label sum
-      mn md
-  in
-  print_phase "blast (private graph per session):" blast_private;
-  print_phase "blast (shared graph per program): " blast_shared;
-  print_phase "first model + minimize:           " first_model;
-  print_phase
-    (Printf.sprintf "enumerate (%d draws/session):     " draws)
-    enumerate;
-  Format.printf "models enumerated: %d@.%!" !models;
-  let phase_fields name times =
-    let sum, mn, md = summarize_reps times in
-    [
-      (name ^ "_seconds", Json.Num sum);
-      (name ^ "_min_seconds", Json.Num mn);
-      (name ^ "_median_seconds", Json.Num md);
-    ]
-  in
-  Json.Obj
-    ([
-       ("relations", Json.Num (float_of_int n_relations));
-       ("reps", Json.Num (float_of_int reps));
-       ("draws_per_session", Json.Num (float_of_int draws));
-     ]
-    @ phase_fields "blast_private_graph" blast_private
-    @ phase_fields "blast_shared_graph" blast_shared
-    @ phase_fields "first_model" first_model
-    @ phase_fields "enumerate" enumerate
-    @ [ ("models_enumerated", Json.Num (float_of_int !models)) ])
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio race microbenchmark                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = Scamv_util.Pool
-
-(* Deterministic portfolio race: every relation of two seeded programs is
-   solved one-shot under the first K portfolio configurations with a
-   tight per-call conflict budget.  The winner of a race is the
-   lowest-ranked configuration that answers within the budget — rank
-   order, not wall-clock order — and a loser is bounded by the budget
-   rather than cancelled, so each verdict is a pure function of the
-   query and identical whether the K sessions run sequentially or spread
-   over a Domain pool.  The harness runs the race both ways, times each,
-   and fails loudly if any verdict differs. *)
-let portfolio_microbench () =
-  let configs = 4 in
-  let conflicts = 16 in
-  let budget = Scamv_smt.Sat.budget ~conflicts () in
-  let setup = Refinement.mct_vs_mspec () in
-  let scfg = { Synth.platform; require_refined_difference = true } in
-  let relations =
-    List.concat_map
-      (fun seed ->
-        let program = arm_draw ~seed Templates.template_a in
-        let leaves = Exec.execute (Refinement.annotate setup program) in
-        let prepared = Synth.prepare scfg leaves in
-        List.filter_map
-          (Synth.pair_relation_prepared prepared)
-          (Synth.compatible_pairs leaves))
-      [ 11L; 12L ]
-    |> Array.of_list
-  in
-  let n = Array.length relations in
-  (* 0 = budget exceeded, 1 = exhausted (unsat), 2 = model.  Each entrant
-     builds a private session (own blast graph) so pool domains share
-     nothing mutable; Synth relations are immutable inputs. *)
-  let entrant i =
-    let r = relations.(i / configs) in
-    let pc = Scamv_smt.Portfolio.config (i mod configs) in
-    let seed = Scamv_smt.Portfolio.seed_for pc 1L in
-    let s =
-      Solver.make_session
-        ~default_phase:pc.Scamv_smt.Portfolio.default_phase
-        ~restart_base:pc.Scamv_smt.Portfolio.restart_base ~budget ~seed
-        r.Synth.assertions
-    in
-    match Solver.next_model s with
-    | Solver.Model _ -> 2
-    | Solver.Exhausted -> 1
-    | Solver.Budget_exceeded -> 0
-  in
-  let race jobs =
-    let tags = Pool.map ~jobs entrant (n * configs) in
-    Array.init n (fun r ->
-        let rec first rank =
-          if rank >= configs then None
-          else if tags.((r * configs) + rank) > 0 then Some rank
-          else first (rank + 1)
-        in
-        first 0)
-  in
-  let sequential_winners, sequential_seconds = time_it (fun () -> race 1) in
-  let parallel_winners, parallel_seconds =
-    time_it (fun () -> race configs)
-  in
-  if sequential_winners <> parallel_winners then begin
-    prerr_endline
-      "FAIL: portfolio race winners differ between sequential and pooled runs";
-    exit 1
-  end;
-  let wins = Array.make configs 0 in
-  let unresolved = ref 0 in
-  Array.iter
-    (function Some rank -> wins.(rank) <- wins.(rank) + 1 | None -> incr unresolved)
-    sequential_winners;
-  Format.printf
-    "@.## Portfolio race (%d relations x %d configs, %d-conflict budget)@.@.\
-     sequential: %.4fs   pooled: %.4fs@.\
-     wins by rank: %s   unresolved: %d@.%!"
-    n configs conflicts sequential_seconds parallel_seconds
-    (String.concat " "
-       (Array.to_list (Array.mapi (fun i w -> Printf.sprintf "%d:%d" i w) wins)))
-    !unresolved;
-  Json.Obj
-    [
-      ("configs", Json.Num (float_of_int configs));
-      ("relations", Json.Num (float_of_int n));
-      ("budget_conflicts", Json.Num (float_of_int conflicts));
-      ("sequential_seconds", Json.Num sequential_seconds);
-      ("parallel_seconds", Json.Num parallel_seconds);
-      ( "wins",
-        Json.Obj
-          (Array.to_list
-             (Array.mapi
-                (fun i w -> (string_of_int i, Json.Num (float_of_int w)))
-                wins)
-          @ [ ("none", Json.Num (float_of_int !unresolved)) ]) );
-      ("deterministic_across_jobs", Json.Bool true);
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Incremental-vs-fresh identity check (`make solver-smoke`)           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1009,321 +685,6 @@ let solver_identity () =
     "OK: incremental (extend) sessions enumerate identically to fresh \
      sessions (%d models compared)\n"
     !checked
-
-(* One fixed, seeded campaign timed at jobs in {1, 2, 4}.  The workload is
-   identical across job counts (same seed, same per-program RNG streams),
-   so wall-clock ratios are honest speedups and every count must agree —
-   the harness cross-checks that and records the verdict in the JSON. *)
-let bench_campaign ~smoke ~out () =
-  let programs = if smoke then 4 else 24 in
-  let tests = if smoke then 3 else 12 in
-  let seed = 2021L in
-  let name = "bench mct-vs-mspec template A" in
-  let make_cfg () =
-    Campaign.make ~name ~template:Templates.template_a
-      ~setup:(Refinement.mct_vs_mspec ()) ~view:Executor.Full_cache ~programs
-      ~tests_per_program:tests ~seed ()
-  in
-  let job_counts = [ 1; 2; 4 ] in
-  Format.printf "@.## Multicore campaign benchmark (%s: %d programs x %d tests)@.@.%!"
-    (if smoke then "smoke" else "full")
-    programs tests;
-  let runs =
-    List.map
-      (fun jobs ->
-        let cfg = make_cfg () in
-        let t0 = Unix.gettimeofday () in
-        let outcome = Campaign.run ~jobs cfg in
-        let wall = Unix.gettimeofday () -. t0 in
-        (* Solver work and phase totals come from the campaign's merged
-           telemetry registry (the SAT solver flushes per-query deltas into
-           it), not from any process-global counter, so each run's numbers
-           are exactly its own even though the runs share the process. *)
-        let m = outcome.Campaign.telemetry.Collector.metrics in
-        let conflicts = Metrics.counter m "sat.conflicts" in
-        Format.printf "jobs %d: %.2fs wall, %d experiments, %d conflicts@.%!" jobs
-          wall outcome.Campaign.stats.Stats.experiments conflicts;
-        (jobs, wall, outcome))
-      job_counts
-  in
-  let wall_of j =
-    List.find_map (fun (jobs, w, _) -> if jobs = j then Some w else None) runs
-    |> Option.get
-  in
-  let baseline = wall_of 1 in
-  let counts (o : Campaign.outcome) =
-    let s = o.Campaign.stats in
-    ( s.Stats.programs,
-      s.Stats.experiments,
-      s.Stats.counterexamples,
-      s.Stats.inconclusive,
-      s.Stats.programs_with_counterexample,
-      Metrics.counter o.Campaign.telemetry.Collector.metrics "sat.conflicts" )
-  in
-  let _, _, outcome1 = List.hd runs in
-  let deterministic =
-    List.for_all (fun (_, _, o) -> counts o = counts outcome1) runs
-  in
-  if not deterministic then
-    Format.printf "WARNING: statistics differ across job counts!@.";
-  let run_json (jobs, wall, (o : Campaign.outcome)) =
-    let s = o.Campaign.stats in
-    let m = o.Campaign.telemetry.Collector.metrics in
-    let speedup = if wall > 0. then baseline /. wall else 0. in
-    (* A parallel run slower than jobs=1 means the machine did not actually
-       have spare cores for the extra domains (CI containers routinely
-       advertise more cores than they schedule); flag it so a reader does
-       not mistake the slowdown for a scaling bug. *)
-    let cores_limited =
-      if jobs > 1 then [ ("cores_limited", Json.Bool (speedup < 1.)) ] else []
-    in
-    Json.Obj
-      ([
-        ("jobs", Json.Num (float_of_int jobs));
-        ("wall_seconds", Json.Num wall);
-        ("speedup_vs_jobs1", Json.Num speedup);
-        ( "programs_per_second",
-          Json.Num (if wall > 0. then float_of_int programs /. wall else 0.) );
-        ("sat_conflicts", Json.Num (float_of_int (Metrics.counter m "sat.conflicts")));
-        ("sat_queries", Json.Num (float_of_int (Metrics.counter m "sat.queries")));
-        ( "phases",
-          Json.Obj
-            [
-              ( "generation_seconds",
-                Json.Num (Metrics.histogram_sum m "phase.generation.seconds") );
-              ( "execution_seconds",
-                Json.Num (Metrics.histogram_sum m "phase.execution.seconds") );
-            ] );
-        ("experiments", Json.Num (float_of_int s.Stats.experiments));
-        ("counterexamples", Json.Num (float_of_int s.Stats.counterexamples));
-      ]
-      @ cores_limited)
-  in
-  let solver_section = solver_microbench () in
-  let portfolio_section = portfolio_microbench () in
-  let doc =
-    Json.Obj
-      [
-        ("schema_version", Json.Num 1.);
-        ("benchmark", Json.Str "campaign-multicore");
-        ( "campaign",
-          Json.Obj
-            [
-              ("name", Json.Str name);
-              ("template", Json.Str "A");
-              ("setup", Json.Str "mct-vs-mspec");
-              ("programs", Json.Num (float_of_int programs));
-              ("tests_per_program", Json.Num (float_of_int tests));
-              ("seed", Json.Num (Int64.to_float seed));
-              ("smoke", Json.Bool smoke);
-            ] );
-        ( "available_cores",
-          Json.Num (float_of_int (Domain.recommended_domain_count ())) );
-        ("deterministic_across_jobs", Json.Bool deterministic);
-        ("runs", Json.Arr (List.map run_json runs));
-        ("solver_microbench", solver_section);
-        ("portfolio", portfolio_section);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string ~pretty:true doc);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "wrote %s@." out;
-  if not deterministic then exit 1
-
-(* Validates that a BENCH_campaign.json emitted above is well-formed:
-   parses, carries the required keys, and covers jobs {1, 2, 4}.  Used by
-   `make bench-smoke` / CI so a schema regression fails the build. *)
-let validate_bench file =
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt in
-  let text =
-    try In_channel.with_open_text file In_channel.input_all
-    with Sys_error m -> fail "%s" m
-  in
-  let doc = try Json.of_string text with Json.Parse_error m -> fail "%s: %s" file m in
-  let member k j =
-    match Json.member k j with Some v -> v | None -> fail "missing key %S" k
-  in
-  let num k j =
-    match member k j with Json.Num n -> n | _ -> fail "key %S is not a number" k
-  in
-  ignore (num "schema_version" doc);
-  let campaign = member "campaign" doc in
-  List.iter
-    (fun k -> ignore (member k campaign))
-    [ "name"; "programs"; "tests_per_program"; "seed" ];
-  ignore (num "available_cores" doc);
-  (match member "deterministic_across_jobs" doc with
-  | Json.Bool true -> ()
-  | Json.Bool false -> fail "runs were not deterministic across job counts"
-  | _ -> fail "deterministic_across_jobs is not a bool");
-  let runs =
-    match member "runs" doc with
-    | Json.Arr l -> l
-    | _ -> fail "key \"runs\" is not an array"
-  in
-  let seen =
-    List.map
-      (fun r ->
-        List.iter
-          (fun k -> ignore (num k r))
-          [ "wall_seconds"; "speedup_vs_jobs1"; "programs_per_second"; "sat_conflicts" ];
-        let phases = member "phases" r in
-        ignore (num "generation_seconds" phases);
-        ignore (num "execution_seconds" phases);
-        let jobs = int_of_float (num "jobs" r) in
-        (* Parallel runs must carry the honesty flag: slower-than-serial
-           results are only trustworthy if annotated. *)
-        if jobs > 1 then begin
-          match member "cores_limited" r with
-          | Json.Bool _ -> ()
-          | _ -> fail "run with jobs = %d has no boolean \"cores_limited\"" jobs
-        end;
-        jobs)
-      runs
-  in
-  List.iter
-    (fun j -> if not (List.mem j seen) then fail "no run with jobs = %d" j)
-    [ 1; 2; 4 ];
-  let solver = member "solver_microbench" doc in
-  List.iter
-    (fun k ->
-      ignore (num (k ^ "_seconds") solver);
-      ignore (num (k ^ "_min_seconds") solver);
-      ignore (num (k ^ "_median_seconds") solver))
-    [ "blast_private_graph"; "blast_shared_graph"; "first_model"; "enumerate" ];
-  List.iter
-    (fun k -> ignore (num k solver))
-    [ "relations"; "reps"; "draws_per_session"; "models_enumerated" ];
-  let portfolio = member "portfolio" doc in
-  List.iter
-    (fun k -> ignore (num k portfolio))
-    [
-      "configs"; "relations"; "budget_conflicts"; "sequential_seconds";
-      "parallel_seconds";
-    ];
-  (match member "wins" portfolio with
-  | Json.Obj _ -> ()
-  | _ -> fail "portfolio key \"wins\" is not an object");
-  (match member "deterministic_across_jobs" portfolio with
-  | Json.Bool true -> ()
-  | Json.Bool false -> fail "portfolio race was not deterministic"
-  | _ -> fail "portfolio deterministic_across_jobs is not a bool");
-  Printf.printf "OK: %s is a valid campaign benchmark (%d runs)\n" file
-    (List.length runs)
-
-(* Perf regression gate (`make perf-check`): re-runs the seeded campaign at
-   the same size as the committed reference and fails if the fresh jobs=1
-   generation-phase time regresses more than 25% against it.  Generation
-   time — SMT blasting, solving, model enumeration — is the phase this
-   repository optimizes; wall time also contains the simulator, and
-   parallel runs depend on the machine, so neither is gated. *)
-let compare_bench ref_file new_file =
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt in
-  let load file =
-    let text =
-      try In_channel.with_open_text file In_channel.input_all
-      with Sys_error m -> fail "%s" m
-    in
-    try Json.of_string text with Json.Parse_error m -> fail "%s: %s" file m
-  in
-  let generation_jobs1 file doc =
-    let runs =
-      match Json.member "runs" doc with
-      | Some (Json.Arr l) -> l
-      | _ -> fail "%s: no runs array" file
-    in
-    let jobs1 =
-      List.find_opt
-        (fun r -> match Json.member "jobs" r with Some (Json.Num 1.) -> true | _ -> false)
-        runs
-    in
-    match jobs1 with
-    | None -> fail "%s: no jobs = 1 run" file
-    | Some r -> (
-      match Json.member "phases" r with
-      | Some p -> (
-        match Json.member "generation_seconds" p with
-        | Some (Json.Num n) -> n
-        | _ -> fail "%s: no generation_seconds" file)
-      | None -> fail "%s: no phases" file)
-  in
-  let reference = generation_jobs1 ref_file (load ref_file) in
-  let fresh = generation_jobs1 new_file (load new_file) in
-  let allowed = reference *. 1.25 in
-  Printf.printf
-    "generation_seconds (jobs=1): reference %.3fs, this run %.3fs (limit %.3fs)\n"
-    reference fresh allowed;
-  if fresh > allowed then
-    fail "generation phase regressed %.0f%% (> 25%% over %s)"
-      ((fresh /. reference -. 1.) *. 100.)
-      ref_file;
-  Printf.printf "OK: generation phase within 25%% of %s\n" ref_file
-
-(* Service perf regression gate (`make service-perf-check`): re-runs the
-   load generator and compares its concurrency-1 scaling entry against
-   the committed BENCH_service.json.  Service throughput is noisier than
-   the solver's generation phase (threads, loopback TCP, campaign
-   scheduling), so the gate is deliberately loose: fail only when fresh
-   throughput drops below half the committed rate or p95 latency more
-   than doubles. *)
-let compare_service ref_file new_file =
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt in
-  let load file =
-    let text =
-      try In_channel.with_open_text file In_channel.input_all
-      with Sys_error m -> fail "%s" m
-    in
-    try Json.of_string text with Json.Parse_error m -> fail "%s: %s" file m
-  in
-  let conc1 file =
-    let doc = load file in
-    let entries =
-      match Json.member "concurrency_scaling" doc with
-      | Some (Json.Arr l) -> l
-      | _ -> fail "%s: no concurrency_scaling block" file
-    in
-    let entry =
-      match
-        List.find_opt
-          (fun e ->
-            match Json.member "concurrency" e with
-            | Some (Json.Num 1.) -> true
-            | _ -> false)
-          entries
-      with
-      | Some e -> e
-      | None -> fail "%s: no concurrency = 1 entry" file
-    in
-    let throughput =
-      match Json.member "throughput_campaigns_per_second" entry with
-      | Some (Json.Num n) -> n
-      | _ -> fail "%s: concurrency-1 entry has no throughput" file
-    in
-    let p95 =
-      match Json.member "latency_seconds" entry with
-      | Some l -> (
-        match Json.member "p95" l with
-        | Some (Json.Num n) -> n
-        | _ -> fail "%s: concurrency-1 entry has no p95" file)
-      | None -> fail "%s: concurrency-1 entry has no latency_seconds" file
-    in
-    (throughput, p95)
-  in
-  let ref_tp, ref_p95 = conc1 ref_file in
-  let new_tp, new_p95 = conc1 new_file in
-  Printf.printf
-    "concurrency-1: reference %.2f campaigns/s p95 %.3fs, this run %.2f \
-     campaigns/s p95 %.3fs\n"
-    ref_tp ref_p95 new_tp new_p95;
-  if new_tp < ref_tp /. 2. then
-    fail "service throughput dropped below half of %s (%.2f < %.2f)" ref_file
-      new_tp (ref_tp /. 2.);
-  if new_p95 > ref_p95 *. 2. then
-    fail "service p95 latency more than doubled against %s (%.3fs > %.3fs)"
-      ref_file new_p95 (ref_p95 *. 2.);
-  Printf.printf "OK: service throughput and p95 within bounds of %s\n" ref_file
 
 (* Validates the --trace / --metrics output of a campaign run: the trace
    must re-parse with Scamv_util.Json and contain every pipeline span the
@@ -1623,21 +984,11 @@ let chaos_suite ~smoke () =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   (match args with
-  | "validate-bench" :: file :: _ ->
-    validate_bench file;
-    exit 0
   | "validate-telemetry" :: trace :: metrics :: rest ->
     validate_telemetry trace metrics;
     (match rest with
     | service :: _ -> validate_service_metrics service
     | [] -> ());
-    exit 0
-  | "compare-bench" :: ref_file :: new_file :: _ ->
-    compare_bench ref_file new_file;
-    exit 0
-  | "solver" :: _ ->
-    ignore (solver_microbench ());
-    ignore (portfolio_microbench ());
     exit 0
   | "solver-identity" :: _ ->
     solver_identity ();
@@ -1663,53 +1014,16 @@ let () =
     in
     Service_bench.metrics_dump ~out ();
     exit 0
-  | "compare-service" :: ref_file :: new_file :: _ ->
-    compare_service ref_file new_file;
-    exit 0
-  | "service" :: rest ->
-    let smoke = List.mem "--smoke" rest in
-    let out =
-      let rec find = function
-        | "--out" :: f :: _ -> f
-        | _ :: tail -> find tail
-        | [] -> "BENCH_service.json"
-      in
-      find rest
-    in
-    if not (List.mem "--load-only" rest) then Service_bench.suite ();
-    Service_bench.load ~smoke ~out ();
+  | "service" :: _ ->
+    Service_bench.suite ();
     exit 0
   | _ -> ());
   let full = List.mem "--full" args in
-  let smoke = List.mem "--smoke" args in
-  let out =
-    let rec find = function
-      | "--out" :: f :: _ -> f
-      | _ :: rest -> find rest
-      | [] -> "BENCH_campaign.json"
-    in
-    find args
+  let what =
+    match List.filter (fun a -> a <> "--full") args with
+    | [] -> [ "all" ]
+    | what -> what
   in
-  let args =
-    let rec strip = function
-      | "--out" :: _ :: rest -> strip rest
-      | a :: rest when a = "--full" || a = "--smoke" -> strip rest
-      | a :: rest -> a :: strip rest
-      | [] -> []
-    in
-    strip args
-  in
-  let what = match args with [] -> [ "all" ] | _ -> args in
-  (* `campaign` is deliberately not part of "all": it re-runs the same
-     campaign three times and is meant for the bench-smoke target / perf
-     trajectory, not the paper-reproduction sweep. *)
-  if List.mem "campaign" what then begin
-    bench_campaign ~smoke ~out ();
-    if what = [ "campaign" ] then begin
-      Format.printf "@.done.@.";
-      exit 0
-    end
-  end;
   let wants k = List.mem k what || List.mem "all" what in
   let table1 =
     if wants "table1" then Some (run_rows ~full ~title:"Table 1" table1_rows) else None
@@ -1722,5 +1036,4 @@ let () =
   if wants "ablations" then ablations ();
   if wants "repair" then repair ();
   if wants "channels" then channels ();
-  if wants "micro" then micro ();
   Format.printf "@.done.@."

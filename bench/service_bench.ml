@@ -1,5 +1,4 @@
-(* Validation-service harness (`make serve-smoke` and the
-   BENCH_service.json load generator).
+(* Validation-service acceptance harness (`make serve-smoke`).
 
    Everything runs against a real Server over loopback TCP — the same
    code path a remote client exercises — with a frozen campaign clock so
@@ -19,10 +18,8 @@
    - quota rejections surface as HTTP 429, cancellation as a terminal
      "cancelled" stream, and /metrics as a Prometheus dump.
 
-   The load generator measures submit->done latency per campaign across
-   client/campaign mixes, then re-measures one fixed mix at server
-   concurrency 1/2/4 (the concurrency_scaling block), and writes
-   throughput + p50/p95/p99 to BENCH_service.json. *)
+   Service latency and throughput are measured by perfbench's
+   served-small workload, not here. *)
 
 module Json = Scamv_util.Json
 module Stopwatch = Scamv_util.Stopwatch
@@ -535,191 +532,6 @@ let kill_resume () =
     [ (id_carol, spec_carol); (id_dave, spec_dave) ];
   Server.stop srv;
   Scheduler.shutdown scd
-
-(* ------------------------------------------------------------------ *)
-(* Load generator                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type mix = {
-  mix_name : string;
-  clients : int;  (** concurrent tenants, one submitting thread each *)
-  campaigns_per_client : int;
-  mix_template : string;
-  mix_setup : string;
-  mix_programs : int;
-  mix_tests : int;
-}
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
-
-let run_mix ~port mix =
-  let latencies = Array.make (mix.clients * mix.campaigns_per_client) 0.0 in
-  let t0 = Unix.gettimeofday () in
-  let client c =
-    Thread.create
-      (fun () ->
-        for j = 0 to mix.campaigns_per_client - 1 do
-          let s =
-            {
-              tenant = Printf.sprintf "%s-t%d" mix.mix_name c;
-              template = mix.mix_template;
-              setup = mix.mix_setup;
-              programs = mix.mix_programs;
-              tests = mix.mix_tests;
-              seed = None;
-            }
-          in
-          let start = Unix.gettimeofday () in
-          let id = submit ~port s in
-          let lines = stream ~port id in
-          (match List.rev lines with
-          | last :: _ when has_prefix ~prefix:"{\"done\":\"completed\"" last -> ()
-          | _ -> fail "load mix %s: campaign %s did not complete" mix.mix_name id);
-          latencies.((c * mix.campaigns_per_client) + j) <-
-            Unix.gettimeofday () -. start
-        done)
-      ()
-  in
-  let threads = List.init mix.clients client in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  Array.sort compare latencies;
-  let campaigns = Array.length latencies in
-  Printf.printf
-    "mix %-12s %d clients x %d campaigns: %.2fs wall, %.2f campaigns/s, p50 %.3fs p95 %.3fs p99 %.3fs\n%!"
-    mix.mix_name mix.clients mix.campaigns_per_client wall
-    (float_of_int campaigns /. wall)
-    (percentile latencies 0.50) (percentile latencies 0.95)
-    (percentile latencies 0.99);
-  Json.Obj
-    [
-      ("name", Json.Str mix.mix_name);
-      ("clients", Json.Num (float_of_int mix.clients));
-      ("campaigns", Json.Num (float_of_int campaigns));
-      ("programs_per_campaign", Json.Num (float_of_int mix.mix_programs));
-      ("tests_per_program", Json.Num (float_of_int mix.mix_tests));
-      ("template", Json.Str mix.mix_template);
-      ("setup", Json.Str mix.mix_setup);
-      ("wall_seconds", Json.Num wall);
-      ("throughput_campaigns_per_second", Json.Num (float_of_int campaigns /. wall));
-      ( "latency_seconds",
-        Json.Obj
-          [
-            ("p50", Json.Num (percentile latencies 0.50));
-            ("p95", Json.Num (percentile latencies 0.95));
-            ("p99", Json.Num (percentile latencies 0.99));
-            ("max", Json.Num latencies.(campaigns - 1));
-          ] );
-    ]
-
-(* Concurrency scaling: the same fixed mix re-measured against a fresh
-   server at --concurrency 1/2/4, the pool budget sliced accordingly.
-   Runs at concurrency > 1 carry the honesty flag [cores_limited]: on a
-   machine with no spare cores (CI containers routinely schedule a single
-   core) extra runner slots cannot pay off, and the flag keeps a reader
-   from mistaking that for a scaling bug. *)
-let concurrency_scaling ~smoke () =
-  let levels = [ 1; 2; 4 ] in
-  let mk_mix concurrency =
-    {
-      mix_name = Printf.sprintf "concurrency-%d" concurrency;
-      clients = 4;
-      campaigns_per_client = (if smoke then 2 else 6);
-      mix_template = "A";
-      mix_setup = "mct-vs-mspec";
-      mix_programs = 2;
-      mix_tests = 2;
-    }
-  in
-  let throughput j =
-    match Json.member "throughput_campaigns_per_second" j with
-    | Some (Json.Num n) -> n
-    | _ -> fail "concurrency scaling: mix result lost its throughput"
-  in
-  let runs =
-    List.map
-      (fun concurrency ->
-        (* total pool budget = concurrency, so every runner slot gets a
-           width-1 slice and slots scale without oversubscribing a core
-           more than the slot count itself does *)
-        let scd =
-          Scheduler.create
-            ~config:(scheduler_config ~jobs:concurrency ~concurrency ())
-            ()
-        in
-        let srv = start_server scd in
-        let result = run_mix ~port:(Server.port srv) (mk_mix concurrency) in
-        Server.stop srv;
-        Scheduler.shutdown scd;
-        (concurrency, result))
-      levels
-  in
-  let base = throughput (List.assoc 1 runs) in
-  List.map
-    (fun (concurrency, result) ->
-      let t = throughput result in
-      let fields = match result with Json.Obj f -> f | _ -> [] in
-      Json.Obj
-        ([
-           ("concurrency", Json.Num (float_of_int concurrency));
-           ( "speedup_vs_concurrency1",
-             Json.Num (if base > 0. then t /. base else 0.) );
-         ]
-        @ (if concurrency > 1 then [ ("cores_limited", Json.Bool (t < base)) ]
-           else [])
-        @ fields))
-    runs
-
-let load ~smoke ~out () =
-  let jobs = 2 in
-  let scd = Scheduler.create ~config:(scheduler_config ~jobs ()) () in
-  let srv = start_server scd in
-  let port = Server.port srv in
-  let scale n = if smoke then max 1 (n / 4) else n in
-  let mixes =
-    [
-      {
-        mix_name = "interactive";
-        clients = 2;
-        campaigns_per_client = scale 8;
-        mix_template = "A";
-        mix_setup = "mct-vs-mspec";
-        mix_programs = 2;
-        mix_tests = 2;
-      };
-      {
-        mix_name = "throughput";
-        clients = 4;
-        campaigns_per_client = scale 4;
-        mix_template = "C";
-        mix_setup = "mct-unguided";
-        mix_programs = 4;
-        mix_tests = 3;
-      };
-    ]
-  in
-  Printf.printf "## Service load generator (%s)\n%!" (if smoke then "smoke" else "full");
-  let results = List.map (run_mix ~port) mixes in
-  Server.stop srv;
-  Scheduler.shutdown scd;
-  Printf.printf "## Concurrency scaling (%s)\n%!" (if smoke then "smoke" else "full");
-  let scaling = concurrency_scaling ~smoke () in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "scamv-service-bench/v2");
-        ("mode", Json.Str (if smoke then "smoke" else "full"));
-        ("server_jobs", Json.Num (float_of_int jobs));
-        ( "available_cores",
-          Json.Num (float_of_int (Domain.recommended_domain_count ())) );
-        ("mixes", Json.Arr results);
-        ("concurrency_scaling", Json.Arr scaling);
-      ]
-  in
-  Out_channel.with_open_bin out (fun oc -> Json.write ~pretty:true oc doc);
-  Printf.printf "service bench written to %s\n%!" out
 
 (* The `service-metrics` subcommand (`make metrics-smoke`): boot a
    --concurrency 2 server, run one campaign and a couple of keep-alive

@@ -187,7 +187,7 @@ val nudge_activity : t -> int -> float -> unit
     model completion. *)
 
 val stats_conflicts : t -> int
-(** Total conflicts so far, for the micro-benchmarks. *)
+(** Total conflicts so far. *)
 
 val stats_decisions : t -> int
 val stats_propagations : t -> int

@@ -1,6 +1,6 @@
-(* Minimal JSON: just enough for the benchmark trajectory files
-   (BENCH_*.json) to be emitted, re-read and validated without an external
-   dependency.  Numbers are floats, as in JSON itself. *)
+(* Minimal JSON: just enough for the service API, the Chrome-trace
+   export and the benchmark's files to be emitted, re-read and validated
+   without an external dependency.  Numbers are floats, as in JSON itself. *)
 
 type t =
   | Null

@@ -140,6 +140,41 @@ let test_campaign_portfolio_identity () =
         (run ~portfolio ~jobs))
     [ (1, 2); (2, 1); (2, 2); (4, 1); (4, 2) ]
 
+let test_campaign_portfolio_rescue_jobs_identity () =
+  (* Under a 100-conflict budget the baseline configuration exhausts on
+     some pairs and a 4-config portfolio races challengers by rank, one
+     after another inside the program's worker: journal and statistics
+     must not depend on the jobs level, and the race must really fire. *)
+  let run ~jobs =
+    let cfg =
+      Campaign.make ~name:"portfolio-rescue" ~template:Templates.template_a
+        ~setup:(Refinement.mct_vs_mspec ()) ~programs:6 ~tests_per_program:4
+        ~seed:2021L
+        ~sat_budget:(Scamv_smt.Sat.budget ~conflicts:100 ())
+        ~portfolio:4 ~clock:Scamv_util.Stopwatch.frozen ()
+    in
+    let journal = Scamv.Journal.create () in
+    let outcome = Campaign.run ~journal ~jobs cfg in
+    let counter =
+      Scamv_telemetry.Metrics.counter
+        outcome.Campaign.telemetry.Scamv_telemetry.Collector.metrics
+    in
+    ( ( Scamv.Journal.to_csv journal,
+        Format.asprintf "%a" Stats.pp outcome.Campaign.stats ),
+      counter "portfolio.races",
+      List.init 3 (fun r -> counter (Printf.sprintf "portfolio.wins.%d" (r + 1))) )
+  in
+  let reference, races, challenger_wins = run ~jobs:1 in
+  Alcotest.(check bool) "the portfolio raced" true (races > 0);
+  Alcotest.(check bool) "a challenger won draws" true
+    (List.exists (fun w -> w > 0) challenger_wins);
+  List.iter
+    (fun jobs ->
+      let artifacts, _, _ = run ~jobs in
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "jobs %d" jobs) reference artifacts)
+    [ 2; 4 ]
+
 let test_pipeline_deterministic () =
   let tmpl = Scamv_gen.Gen.generate ~seed:7L Templates.template_c in
   let run () =
@@ -247,6 +282,8 @@ let () =
             test_portfolio_rescues_budget_exhausted_pair;
           Alcotest.test_case "campaign identity across sizes and jobs" `Quick
             test_campaign_portfolio_identity;
+          Alcotest.test_case "budgeted rescue independent of jobs" `Quick
+            test_campaign_portfolio_rescue_jobs_identity;
         ] );
       ( "paper results (miniature)",
         [
