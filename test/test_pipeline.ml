@@ -14,6 +14,8 @@ module Templates = Scamv_gen.Templates
 module Pipeline = Scamv.Pipeline
 module Campaign = Scamv.Campaign
 module Stats = Scamv.Stats
+module Isa = Scamv_arch.Isa
+module Stopwatch = Scamv_util.Stopwatch
 
 let platform = Platform.cortex_a53
 
@@ -175,6 +177,86 @@ let test_campaign_portfolio_rescue_jobs_identity () =
         (Printf.sprintf "jobs %d" jobs) reference artifacts)
     [ 2; 4 ]
 
+(* ---- budget pin ----
+
+   Frozen-clock campaigns under both budgets the campaign driver honours
+   (the per-SAT-call conflict cap and the per-program virtual deadline),
+   hashed over the journal CSV and the [Stats.pp] rendering.  A change to
+   where a budget stops the search, to the quarantine or crash reason
+   text, or to the portfolio race shows up as a different digest.  The
+   assertions on the counters keep each pin from passing vacuously. *)
+
+let smoke_name = "mct-vs-mspec on template A"
+
+(* The [make smoke] configuration: template A, Mct vs Mspec, 6 programs x
+   4 tests, seed 2021, 100 conflicts per SAT call, a 2-config portfolio,
+   3 attempts per experiment, 10% board noise. *)
+let smoke_config ?(isa = Isa.Aarch64) ?deadline_conflicts () =
+  Campaign.make ~name:smoke_name ~isa ~template:(Templates.by_name ~isa "A")
+    ~setup:(Refinement.mct_vs_mspec ()) ~programs:6 ~tests_per_program:4
+    ~seed:2021L ~sat_budget:(Scamv_smt.Sat.budget ~conflicts:100 ())
+    ~portfolio:2 ~retry:(Scamv.Retry.make ~max_attempts:3 ())
+    ~faults:(Scamv_microarch.Faults.config ~rate:0.1 ~seed:7L ())
+    ?deadline:
+      (Option.map (fun n -> Scamv_util.Deadline.Conflicts n) deadline_conflicts)
+    ~clock:Stopwatch.frozen ()
+
+let run_diff journal =
+  Scamv.Diff.run ~journal ~name:smoke_name ~template:"A"
+    ~setup:(Refinement.mct_vs_mspec ()) ~programs:6 ~tests_per_program:4
+    ~seed:2021L ~sat_budget:(Scamv_smt.Sat.budget ~conflicts:200 ())
+    ~portfolio:2 ~clock:Stopwatch.frozen ()
+
+let digest journal stats =
+  Digest.to_hex
+    (Digest.string
+       (Scamv.Journal.to_csv journal ^ Format.asprintf "%a" Stats.pp stats))
+
+let counter (o : Campaign.outcome) =
+  Scamv_telemetry.Metrics.counter
+    o.Campaign.telemetry.Scamv_telemetry.Collector.metrics
+
+let pin_campaign ~expected cfg check =
+  let journal = Scamv.Journal.create () in
+  let outcome = Campaign.run ~journal cfg in
+  check outcome;
+  Alcotest.(check string) "journal + stats digest" expected
+    (digest journal outcome.Campaign.stats)
+
+let raced (o : Campaign.outcome) =
+  Alcotest.(check bool) "the portfolio raced" true (counter o "portfolio.races" > 0)
+
+let quarantined (o : Campaign.outcome) =
+  Alcotest.(check bool) "a pair was quarantined" true
+    (o.Campaign.stats.Stats.budget_exceeded > 0)
+
+let test_pin_smoke_aarch64 () =
+  pin_campaign ~expected:"3f03d855acb5247713b8fad6a1359be3" (smoke_config ()) (fun o ->
+      raced o;
+      quarantined o)
+
+let test_pin_smoke_riscv () =
+  pin_campaign ~expected:"c28bb15f75985dd77aa1d87428438ade" (smoke_config ~isa:Isa.Riscv ()) (fun o ->
+      raced o;
+      quarantined o)
+
+let test_pin_deadline () =
+  pin_campaign ~expected:"01ceb5049174b4c63f16d8bd0078b10d" (smoke_config ~deadline_conflicts:150 ())
+    (fun o ->
+      let hits = counter o "deadline.hits" in
+      Alcotest.(check bool) "some programs crashed" true (hits > 0);
+      Alcotest.(check bool) "some programs finished" true (hits < 6);
+      Alcotest.(check int) "crashes counted" hits
+        o.Campaign.stats.Stats.crashed_programs)
+
+let test_pin_diff () =
+  let journal = Scamv.Journal.create () in
+  let outcome = run_diff journal in
+  raced outcome.Scamv.Diff.riscv;
+  quarantined outcome.Scamv.Diff.riscv;
+  Alcotest.(check string) "journal + stats digest" "a13d654d77acc5f570351dfc6ca7e50d"
+    (digest journal outcome.Scamv.Diff.stats)
+
 let test_pipeline_deterministic () =
   let tmpl = Scamv_gen.Gen.generate ~seed:7L Templates.template_c in
   let run () =
@@ -284,6 +366,13 @@ let () =
             test_campaign_portfolio_identity;
           Alcotest.test_case "budgeted rescue independent of jobs" `Quick
             test_campaign_portfolio_rescue_jobs_identity;
+        ] );
+      ( "budget pin",
+        [
+          Alcotest.test_case "smoke on AArch64" `Quick test_pin_smoke_aarch64;
+          Alcotest.test_case "smoke on RV64" `Quick test_pin_smoke_riscv;
+          Alcotest.test_case "virtual deadline" `Quick test_pin_deadline;
+          Alcotest.test_case "diff with portfolio" `Quick test_pin_diff;
         ] );
       ( "paper results (miniature)",
         [
