@@ -837,13 +837,12 @@ let contains_substring haystack needle =
 (* One fixed seeded campaign under the frozen clock, so every observable
    output (journal rows, stats, progress lines) is a pure function of the
    seed and the injected chaos/deadline — byte-identical means identical. *)
-let chaos_cfg ?deadline ?chaos ~programs ~tests () =
+let chaos_cfg ?deadline_conflicts ?chaos ~programs ~tests () =
   Campaign.make ~name:"chaos"
     ~template:Templates.template_a
     ~setup:(Refinement.mct_vs_mspec ())
     ~programs ~tests_per_program:tests ~seed:2021L
-    ~sat_budget:(Scamv_smt.Sat.budget ~conflicts:200 ())
-    ?deadline ?chaos ~clock:Stopwatch.frozen ()
+    ~max_conflicts:200 ?deadline_conflicts ?chaos ~clock:Stopwatch.frozen ()
 
 let run_campaign ?resume ~jobs cfg =
   let journal = Journal.create () in
@@ -954,7 +953,7 @@ let chaos_worker_crash_identity ~programs ~tests () =
 let chaos_deadline_identity ~programs ~tests () =
   (* The limit scales with the per-program test count so that across the
      smoke and full sizes some programs expire and some finish. *)
-  let mk () = chaos_cfg ~deadline:(Deadline.Conflicts (50 * tests)) ~programs ~tests () in
+  let mk () = chaos_cfg ~deadline_conflicts:(50 * tests) ~programs ~tests () in
   let r1 = run_campaign ~jobs:1 (mk ()) in
   let r2 = run_campaign ~jobs:2 (mk ()) in
   check_identical ~what:"deadlines" r1 r2;

@@ -82,6 +82,9 @@ let lookup_template ?isa name =
   | t -> Ok t
   | exception Invalid_argument msg -> Error (`Msg msg)
 
+(* Budget flags take 0 (or less) for "no budget". *)
+let positive n = if n > 0 then Some n else None
+
 (* ---- campaign command ---- *)
 
 let campaign_cmd =
@@ -120,18 +123,6 @@ let campaign_cmd =
       & info [ "max-conflicts" ] ~docv:"N"
           ~doc:"SAT budget: conflicts allowed per solver call (0 = unlimited).")
   in
-  let max_decisions_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-decisions" ] ~docv:"N"
-          ~doc:"SAT budget: decisions allowed per solver call (0 = unlimited).")
-  in
-  let max_propagations_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-propagations" ] ~docv:"N"
-          ~doc:"SAT budget: propagations allowed per solver call (0 = unlimited).")
-  in
   let max_attempts_arg =
     Arg.(
       value & opt int 1
@@ -168,16 +159,6 @@ let campaign_cmd =
              as crashed) once its SAT searches have spent $(docv) conflicts. \
              Purely work-based, so output stays byte-identical across \
              $(b,--jobs) levels.  0 = no deadline.")
-  in
-  let deadline_seconds_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "deadline-seconds" ] ~docv:"S"
-          ~doc:
-            "Per-program wall-clock watchdog: abandon a program (recording \
-             it as crashed) after $(docv) seconds.  For service use; not \
-             deterministic.  0 = no deadline.  Mutually exclusive with \
-             $(b,--deadline-conflicts).")
   in
   let chaos_rate_arg =
     Arg.(
@@ -244,9 +225,8 @@ let campaign_cmd =
              end of the run.")
   in
   let run template_name setup_name isa_name programs tests seed verbose csv
-      resume max_conflicts max_decisions max_propagations max_attempts confirm
-      fault_rate fault_seed deadline_conflicts deadline_seconds chaos_rate
-      chaos_seed portfolio jobs trace metrics =
+      resume max_conflicts max_attempts confirm fault_rate fault_seed
+      deadline_conflicts chaos_rate chaos_seed portfolio jobs trace metrics =
     let ( let* ) = Result.bind in
     let* isa = lookup_isa isa_name in
     let* template = lookup_template ~isa template_name in
@@ -267,13 +247,6 @@ let campaign_cmd =
     let* () =
       if deadline_conflicts < 0 then
         Error (`Msg "--deadline-conflicts must be at least 0")
-      else if deadline_seconds < 0.0 then
-        Error (`Msg "--deadline-seconds must be at least 0")
-      else if deadline_conflicts > 0 && deadline_seconds > 0.0 then
-        Error
-          (`Msg
-            "--deadline-conflicts and --deadline-seconds are mutually \
-             exclusive")
       else Ok ()
     in
     let* () =
@@ -297,25 +270,10 @@ let campaign_cmd =
         | Sys_error msg -> Error (`Msg msg))
     in
     let name = Printf.sprintf "%s on template %s" setup_name template_name in
-    let cap n = if n > 0 then Some n else None in
-    let sat_budget =
-      match (cap max_conflicts, cap max_decisions, cap max_propagations) with
-      | None, None, None -> None
-      | conflicts, decisions, propagations ->
-        Some
-          (Scamv_smt.Sat.budget ?conflicts ?decisions ?propagations ())
-    in
     let retry = Scamv.Retry.make ~max_attempts ~confirm () in
     let faults =
       if fault_rate > 0.0 then
         Some (Scamv_microarch.Faults.config ~rate:fault_rate ~seed:fault_seed ())
-      else None
-    in
-    let deadline =
-      if deadline_conflicts > 0 then
-        Some (Scamv_util.Deadline.Conflicts deadline_conflicts)
-      else if deadline_seconds > 0.0 then
-        Some (Scamv_util.Deadline.Wall_seconds deadline_seconds)
       else None
     in
     let chaos =
@@ -330,8 +288,9 @@ let campaign_cmd =
     in
     let cfg =
       Campaign.make ~name ~isa ~template ~setup ~view:(default_view setup_name)
-        ~programs ~tests_per_program:tests ~seed ?sat_budget ~portfolio ~retry
-        ?faults ?deadline ?chaos ()
+        ~programs ~tests_per_program:tests ~seed
+        ?max_conflicts:(positive max_conflicts) ~portfolio ~retry ?faults
+        ?deadline_conflicts:(positive deadline_conflicts) ?chaos ()
     in
     let on_event = if verbose then print_endline else fun _ -> () in
     let journal = Scamv.Journal.create ?path:csv ?chaos () in
@@ -376,10 +335,9 @@ let campaign_cmd =
   let term =
     Term.(
       const run $ template_arg $ setup_arg $ isa_arg $ programs_arg $ tests_arg
-      $ seed_arg $ verbose_arg $ csv_arg $ resume_arg $ max_conflicts_arg $ max_decisions_arg
-      $ max_propagations_arg $ max_attempts_arg $ confirm_arg $ fault_rate_arg
-      $ fault_seed_arg $ deadline_conflicts_arg $ deadline_seconds_arg
-      $ chaos_rate_arg $ chaos_seed_arg $ portfolio_arg $ jobs_arg $ trace_arg
+      $ seed_arg $ verbose_arg $ csv_arg $ resume_arg $ max_conflicts_arg
+      $ max_attempts_arg $ confirm_arg $ fault_rate_arg $ fault_seed_arg
+      $ deadline_conflicts_arg $ chaos_rate_arg $ chaos_seed_arg $ portfolio_arg $ jobs_arg $ trace_arg
       $ metrics_arg)
   in
   let info =
@@ -486,7 +444,7 @@ let diff_cmd =
     let ( let* ) = Result.bind in
     (* Both ISAs must know the template; checking each side up front turns
        a mid-run Invalid_argument into a proper usage error. *)
-    let* _ = lookup_template ~isa:Isa.Aarch64 template_name in
+    let* template = lookup_template ~isa:Isa.Aarch64 template_name in
     let* _ = lookup_template ~isa:Isa.Riscv template_name in
     let* setup = lookup_setup setup_name in
     let* () =
@@ -497,20 +455,20 @@ let diff_cmd =
       else Ok ()
     in
     let name = Printf.sprintf "%s on template %s" setup_name template_name in
-    let sat_budget =
-      if max_conflicts > 0 then
-        Some (Scamv_smt.Sat.budget ~conflicts:max_conflicts ())
-      else None
-    in
     let clock =
       if frozen then Scamv_util.Stopwatch.frozen else Scamv_util.Stopwatch.wall
+    in
+    (* [Diff.run] instantiates the template per side; the AArch64 config
+       only carries the shared campaign parameters. *)
+    let cfg =
+      Campaign.make ~name ~template ~setup ~view:(default_view setup_name)
+        ~programs ~tests_per_program:tests ~seed
+        ?max_conflicts:(positive max_conflicts) ~portfolio ~clock ()
     in
     let on_event = if verbose then print_endline else fun _ -> () in
     let journal = Scamv.Journal.create ?path:csv () in
     let outcome =
-      Scamv.Diff.run ~on_event ~journal ~jobs ~name ~template:template_name
-        ~setup ~view:(default_view setup_name) ~programs
-        ~tests_per_program:tests ~seed ?sat_budget ~portfolio ~clock ()
+      Scamv.Diff.run ~on_event ~journal ~jobs ~template:template_name cfg
     in
     Scamv.Journal.close journal;
     print_string

@@ -18,10 +18,6 @@ type program =
 
 let of_program = function Aarch64_program _ -> Aarch64 | Riscv_program _ -> Riscv
 
-let program_length = function
-  | Aarch64_program p -> Array.length p
-  | Riscv_program p -> Array.length p
-
 let validate_program = function
   | Aarch64_program p -> Scamv_isa.Ast.validate p
   | Riscv_program p -> Scamv_riscv.Ast.validate p

@@ -22,7 +22,6 @@ type program =
   | Riscv_program of Scamv_riscv.Ast.program
 
 val of_program : program -> t
-val program_length : program -> int
 val validate_program : program -> (unit, string) result
 val pp_program : Format.formatter -> program -> unit
 val program_to_string : program -> string

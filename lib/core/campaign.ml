@@ -3,7 +3,6 @@ module Templates = Scamv_gen.Templates
 module Refinement = Scamv_models.Refinement
 module Executor = Scamv_microarch.Executor
 module Faults = Scamv_microarch.Faults
-module Sat = Scamv_smt.Sat
 module Splitmix = Scamv_util.Splitmix
 module Stopwatch = Scamv_util.Stopwatch
 module Pool = Scamv_util.Pool
@@ -23,11 +22,11 @@ type config = {
   seed : int64;
   executor : Executor.config;
   pipeline : Refinement.t -> Pipeline.config;
-  sat_budget : Sat.budget option;
+  max_conflicts : int option;
   portfolio : int;
   retry : Retry.policy;
   faults : Faults.config option;
-  deadline : Deadline.spec option;
+  deadline_conflicts : int option;
   chaos : Chaos.t option;
   clock : Stopwatch.clock;
   cancel : Deadline.t option;
@@ -35,8 +34,8 @@ type config = {
 
 let make ~name ?(isa = Isa.Aarch64) ~template ~setup
     ?(view = Executor.Full_cache) ?(programs = 50)
-    ?(tests_per_program = 30) ?(seed = 2021L) ?sat_budget ?(portfolio = 1)
-    ?(retry = Retry.default) ?faults ?deadline ?chaos
+    ?(tests_per_program = 30) ?(seed = 2021L) ?max_conflicts ?(portfolio = 1)
+    ?(retry = Retry.default) ?faults ?deadline_conflicts ?chaos
     ?(clock = Stopwatch.wall) ?cancel () =
   if portfolio < 1 then invalid_arg "Campaign.make: portfolio must be >= 1";
   {
@@ -50,11 +49,11 @@ let make ~name ?(isa = Isa.Aarch64) ~template ~setup
     seed;
     executor = Executor.default_config ~view ();
     pipeline = Pipeline.default_config;
-    sat_budget;
+    max_conflicts;
     portfolio;
     retry;
     faults;
-    deadline;
+    deadline_conflicts;
     chaos;
     clock;
     cancel;
@@ -140,13 +139,14 @@ let run_program cfg pipeline_cfg ~program_index program_rng :
   let collector =
     Collector.create ~clock:cfg.clock ~track:(program_index + 1) ()
   in
-  (* One deadline token per program: a virtual (conflict-count) deadline
-     gives every program the same work allowance regardless of scheduling,
-     and a wall-clock one bounds each program's real time.  The token is
-     ambient for the whole program body, so the SAT search, the blaster
-     and the pipeline all poll it. *)
+  (* One virtual (conflict-count) deadline token per program: every
+     program gets the same work allowance regardless of scheduling.  The
+     token is ambient for the whole program body, so the SAT search, the
+     blaster and the pipeline all poll it. *)
   let deadline =
-    Option.map (fun spec -> Deadline.create ~clock:cfg.clock spec) cfg.deadline
+    Option.map
+      (fun n -> Deadline.create ~clock:cfg.clock (Deadline.Conflicts n))
+      cfg.deadline_conflicts
   in
   (* Campaign-level cooperative cancel (the service's DELETE): when no
      per-program deadline claims the ambient slot, the cancel token itself
@@ -352,13 +352,16 @@ let run ?(on_event = fun _ -> ()) ?(on_record = fun (_ : Journal.event) -> ())
   let watch = Stopwatch.start ~clock:cfg.clock () in
   let stats = ref Stats.empty in
   let pipeline_cfg =
-    let pc = { (cfg.pipeline cfg.setup) with Pipeline.isa = cfg.isa } in
-    let pc =
-      match cfg.sat_budget with
-      | None -> pc
-      | Some b -> { pc with Pipeline.budget = Some b }
-    in
-    { pc with Pipeline.chaos = cfg.chaos; Pipeline.portfolio = cfg.portfolio }
+    let pc = cfg.pipeline cfg.setup in
+    {
+      pc with
+      Pipeline.isa = cfg.isa;
+      max_conflicts =
+        (if cfg.max_conflicts = None then pc.Pipeline.max_conflicts
+         else cfg.max_conflicts);
+      chaos = cfg.chaos;
+      portfolio = cfg.portfolio;
+    }
   in
   (* Split one RNG stream per program off the campaign seed, in program
      order, before anything runs: program i's randomness is a pure function

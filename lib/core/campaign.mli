@@ -31,21 +31,22 @@ type config = {
   seed : int64;
   executor : Scamv_microarch.Executor.config;
   pipeline : Scamv_models.Refinement.t -> Pipeline.config;
-  sat_budget : Scamv_smt.Sat.budget option;
-      (** per-SAT-call caps for every enumeration session; overrides the
-          pipeline config's budget when set *)
+  max_conflicts : int option;
+      (** conflicts allowed per SAT call of every enumeration session;
+          overrides the pipeline config's [max_conflicts] when set *)
   portfolio : int;
       (** solver portfolio size (>= 1); see {!Pipeline.config.portfolio}.
-          With no [sat_budget] the baseline configuration never exhausts,
-          so campaign artifacts are identical for every size *)
+          With no [max_conflicts] the baseline configuration never
+          exhausts, so campaign artifacts are identical for every size *)
   retry : Retry.policy;  (** executor retry/majority-vote policy *)
   faults : Scamv_microarch.Faults.config option;
       (** board-noise fault injection, applied to every executor run *)
-  deadline : Scamv_util.Deadline.spec option;
-      (** per-program deadline: [Conflicts n] is the deterministic virtual
-          deadline (byte-identical output across [jobs] levels),
-          [Wall_seconds s] the wall-clock watchdog for service use; expiry
-          records the program as crashed and the campaign continues *)
+  deadline_conflicts : int option;
+      (** per-program virtual deadline: the conflicts all of a program's
+          SAT searches may spend together ({!Scamv_util.Deadline.Conflicts}).
+          Purely work-based, so output stays byte-identical across [jobs]
+          levels; expiry records the program as crashed and the campaign
+          continues *)
   chaos : Scamv_util.Chaos.t option;
       (** deterministic fault injector arming the worker-kill,
           journal-write and solver-budget chaos sites (share the same
@@ -62,7 +63,7 @@ type config = {
           their next poll and every remaining program is recorded as
           crashed with reason ["campaign cancelled"] — the campaign
           drains quickly but still returns a complete, journaled
-          outcome.  When no per-program [deadline] is set the token goes
+          outcome.  When no [deadline_conflicts] is set the token goes
           ambient inside workers, so even a long SAT enumeration is
           interrupted at its next conflict. *)
 }
@@ -76,11 +77,11 @@ val make :
   ?programs:int ->
   ?tests_per_program:int ->
   ?seed:int64 ->
-  ?sat_budget:Scamv_smt.Sat.budget ->
+  ?max_conflicts:int ->
   ?portfolio:int ->
   ?retry:Retry.policy ->
   ?faults:Scamv_microarch.Faults.config ->
-  ?deadline:Scamv_util.Deadline.spec ->
+  ?deadline_conflicts:int ->
   ?chaos:Scamv_util.Chaos.t ->
   ?clock:Scamv_util.Stopwatch.clock ->
   ?cancel:Scamv_util.Deadline.t ->

@@ -1,9 +1,5 @@
-module Gen = Scamv_gen.Gen
 module Templates = Scamv_gen.Templates
-module Refinement = Scamv_models.Refinement
 module Executor = Scamv_microarch.Executor
-module Sat = Scamv_smt.Sat
-module Stopwatch = Scamv_util.Stopwatch
 module Isa = Scamv_arch.Isa
 module Tm = Scamv_telemetry.Collector
 
@@ -55,16 +51,14 @@ let pair_verdicts events =
 let side_name name isa = Printf.sprintf "%s [%s]" name (Isa.to_string isa)
 
 let run ?(on_event = fun _ -> ()) ?(on_record = fun (_ : Journal.event) -> ())
-    ?journal ?pool ?(jobs = 1) ~name ~template ~setup
-    ?(view = Executor.Full_cache) ?(programs = 20) ?(tests_per_program = 10)
-    ?(seed = 2021L) ?sat_budget ?(portfolio = 1) ?(clock = Stopwatch.wall)
-    ?cancel () =
+    ?journal ?pool ?(jobs = 1) ~template (cfg : Campaign.config) =
+  let name = cfg.Campaign.name in
   let side isa =
     let cfg =
-      Campaign.make ~name:(side_name name isa) ~isa
-        ~template:(Templates.by_name ~isa template)
-        ~setup ~view ~programs ~tests_per_program ~seed ?sat_budget ~portfolio
-        ~clock ?cancel ()
+      { cfg with
+        Campaign.name = side_name name isa;
+        isa;
+        template = Templates.by_name ~isa template }
     in
     let events_rev = ref [] in
     let on_record ev =

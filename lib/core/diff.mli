@@ -34,22 +34,16 @@ val run :
   ?journal:Journal.t ->
   ?pool:Scamv_util.Pool.t ->
   ?jobs:int ->
-  name:string ->
   template:string ->
-  setup:Scamv_models.Refinement.t ->
-  ?view:Scamv_microarch.Executor.view ->
-  ?programs:int ->
-  ?tests_per_program:int ->
-  ?seed:int64 ->
-  ?sat_budget:Scamv_smt.Sat.budget ->
-  ?portfolio:int ->
-  ?clock:Scamv_util.Stopwatch.clock ->
-  ?cancel:Scamv_util.Deadline.t ->
-  unit ->
+  Campaign.config ->
   outcome
-(** Run the AArch64 side, then the RISC-V side, then compare.  [template]
-    is a {!Scamv_gen.Templates.by_name} name, instantiated per ISA.  The
-    two campaigns are named ["<name> [aarch64]"] and ["<name> [riscv]"];
+(** [run ~template cfg] runs the AArch64 side, then the RISC-V side, then
+    compares.  Each side is [cfg] — budgets, deadline, portfolio, clock,
+    cancel token and all — with its [isa] set to that side's ISA and its
+    [template] instantiated from [template], a
+    {!Scamv_gen.Templates.by_name} name; [cfg]'s own [isa] and [template]
+    are ignored.  The two campaigns are named ["<name> [aarch64]"] and
+    ["<name> [riscv]"] after [cfg.name];
     their rows (and then the [Diverged] events) all land in [journal] and
     stream through [on_record], in that order.  Telemetry counters
     [diff.compared_pairs], [diff.unmatched_pairs] and [diff.divergences]

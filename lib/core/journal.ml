@@ -70,8 +70,6 @@ let verdict_string = function
   | Executor.Indistinguishable -> "indistinguishable"
   | Executor.Inconclusive -> "inconclusive"
 
-let pp_verdict ppf v = Format.pp_print_string ppf (verdict_string v)
-
 let quote s = "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
 
 let csv_header =
@@ -308,7 +306,6 @@ let write_atomic ~path content =
       Sys.rename tmp path)
 
 let write_csv t ~path = write_atomic ~path (to_csv t)
-let write_journal t ~path = write_atomic ~path (to_journal_string t)
 
 (* ---- parsing ---- *)
 

@@ -120,9 +120,6 @@ val write_csv : t -> path:string -> unit
     leaves either the previous complete file or the new one, never a torn
     hybrid. *)
 
-val write_journal : t -> path:string -> unit
-(** Atomic checkpoint of {!to_journal_string}. *)
-
 exception Parse_error of string
 
 val of_csv : string -> t
@@ -154,8 +151,6 @@ val of_string_tolerant : string -> t * recovery
 
 val load : path:string -> t * recovery
 (** {!of_string_tolerant} on a file — the [--resume] entry point. *)
-
-val pp_verdict : Format.formatter -> Scamv_microarch.Executor.verdict -> unit
 
 val verdict_string : Scamv_microarch.Executor.verdict -> string
 (** The CSV/JSON verdict word: ["distinguishable"] /

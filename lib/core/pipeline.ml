@@ -17,11 +17,11 @@ type config = {
   platform : Scamv_isa.Platform.t;
   diversify : bool;
   max_steps : int;
-  budget : Scamv_smt.Sat.budget option;
+  max_conflicts : int option;
   chaos : Chaos.t option;
   portfolio : int;
       (* number of solver configurations to try per pair (>= 1); only
-         consulted when a session exhausts its SAT budget *)
+         consulted when a session hits its conflict cap *)
 }
 
 let default_config ?(isa = Isa.Aarch64) setup =
@@ -31,7 +31,7 @@ let default_config ?(isa = Isa.Aarch64) setup =
     platform = Scamv_isa.Platform.cortex_a53;
     diversify = Refinement.has_refinement setup;
     max_steps = 4096;
-    budget = None;
+    max_conflicts = None;
     chaos = None;
     portfolio = 1;
   }
@@ -160,14 +160,14 @@ let prepare ?(seed = 0L) cfg isa_program =
                  [smt.incremental_reuse_hits]. *)
               let s =
                 Solver.make_session ~default_phase ~restart_base
-                  ?budget:cfg.budget ~seed ~graph
+                  ?max_conflicts:cfg.max_conflicts ~seed ~graph
                   relation.Synth.candidate_assertions
               in
               Solver.extend ?track s relation.Synth.refinement_assertions
             end
             else
               Solver.make_session ~default_phase ~restart_base ?track
-                ?budget:cfg.budget ~seed ~graph relation.Synth.assertions
+                ?max_conflicts:cfg.max_conflicts ~seed ~graph relation.Synth.assertions
           in
           let session = build 0 in
           let training = lazy (Training.states tcache ~pair) in
@@ -285,9 +285,9 @@ let rec advance t =
         let reason =
           Printf.sprintf "SAT budget exceeded after %d model(s) (%s%s)"
             (Solver.models_found ps.session)
-            (match t.cfg.budget with
+            (match t.cfg.max_conflicts with
             | None -> "unlimited"
-            | Some b -> Format.asprintf "%a" Scamv_smt.Sat.pp_budget b)
+            | Some n -> Printf.sprintf "conflicts<=%d" n)
             (if t.cfg.portfolio > 1 then
                Printf.sprintf ", portfolio of %d" t.cfg.portfolio
              else "")

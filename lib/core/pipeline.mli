@@ -18,16 +18,16 @@ type config = {
       (** randomize solver phases between enumerated models, spreading
           test cases across the state space *)
   max_steps : int;  (** symbolic execution step bound *)
-  budget : Scamv_smt.Sat.budget option;
-      (** per-SAT-call resource caps for every path pair's enumeration
-          session; a pair that exceeds them is quarantined *)
+  max_conflicts : int option;
+      (** conflicts allowed per SAT call of every path pair's enumeration
+          session; a pair that hits the cap is quarantined *)
   chaos : Scamv_util.Chaos.t option;
       (** fault injector arming the ["solver.budget"] site: a chaos-chosen
           path pair reports budget exhaustion and is quarantined *)
   portfolio : int;
       (** number of {!Scamv_smt.Portfolio} configurations to try per
           path pair (>= 1; 1 = no portfolio).  Only consulted when the
-          baseline configuration exhausts its SAT budget: challengers are
+          baseline configuration hits its conflict cap: challengers are
           tried in rank order over the same assertions (with already-
           enumerated models re-blocked), and the first to answer takes
           the pair over.  Counted as [portfolio.races] /

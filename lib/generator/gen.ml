@@ -26,19 +26,9 @@ let list n g rng =
   in
   go n [] rng
 
-let list_of gs rng =
-  List.fold_left
-    (fun (acc, rng) g ->
-      let x, rng = g rng in
-      (x :: acc, rng))
-    ([], rng) gs
-  |> fun (acc, rng) -> (List.rev acc, rng)
-
 let int_in lo hi rng = Splitmix.int_in rng lo hi
-let int64_any rng = Splitmix.next rng
 let bool rng = Splitmix.bool rng
 let choose xs rng = Splitmix.choose rng xs
-let oneof gs = bind (choose gs) (fun g -> g)
 
 let opt p g rng =
   let v, rng = Splitmix.float rng in

@@ -13,15 +13,12 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 val both : 'a t -> 'b t -> ('a * 'b) t
 val list : int -> 'a t -> 'a list t
-val list_of : 'a t list -> 'a list t
 
 val int_in : int -> int -> int t
 (** Inclusive range. *)
 
-val int64_any : int64 t
 val bool : bool t
 val choose : 'a list -> 'a t
-val oneof : 'a t list -> 'a t
 val opt : float -> 'a t -> 'a option t
 (** [opt p g] yields [Some] with probability [p]. *)
 

@@ -35,7 +35,6 @@ let negate_cond = function
   | Le -> Gt
 
 let is_load = function Ldr _ -> true | _ -> false
-let is_store = function Str _ -> true | _ -> false
 let is_branch = function B_cond _ | B _ -> true | _ -> false
 
 let successors program i =
@@ -45,39 +44,6 @@ let successors program i =
   | B target -> [ clip target ]
   | B_cond (_, target) -> [ clip (i + 1); clip target ]
   | _ -> [ clip (i + 1) ]
-
-let defined_reg = function
-  | Mov (d, _)
-  | Add (d, _, _)
-  | Sub (d, _, _)
-  | And_ (d, _, _)
-  | Orr (d, _, _)
-  | Eor (d, _, _)
-  | Lsl (d, _, _)
-  | Lsr (d, _, _)
-  | Asr (d, _, _)
-  | Ldr (d, _) ->
-    Some d
-  | Str _ | Cmp _ | B_cond _ | B _ | Nop -> None
-
-let operand_regs = function Reg r -> [ r ] | Imm _ -> []
-let addressing_regs { base; offset; scale = _ } = base :: operand_regs offset
-
-let used_regs = function
-  | Mov (_, op) -> operand_regs op
-  | Add (_, a, op)
-  | Sub (_, a, op)
-  | And_ (_, a, op)
-  | Orr (_, a, op)
-  | Eor (_, a, op)
-  | Lsl (_, a, op)
-  | Lsr (_, a, op)
-  | Asr (_, a, op) ->
-    a :: operand_regs op
-  | Ldr (_, addr) -> addressing_regs addr
-  | Str (s, addr) -> s :: addressing_regs addr
-  | Cmp (a, op) -> a :: operand_regs op
-  | B_cond _ | B _ | Nop -> []
 
 let validate program =
   let len = Array.length program in

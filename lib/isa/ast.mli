@@ -50,19 +50,12 @@ type program = instr array
 val negate_cond : cond -> cond
 
 val is_load : instr -> bool
-val is_store : instr -> bool
 val is_branch : instr -> bool
 (** Conditional or unconditional branch. *)
 
 val successors : program -> int -> int list
 (** Successor instruction indexes of the instruction at the given index;
     the program length acts as the halt point.  Fall-through first. *)
-
-val defined_reg : instr -> Reg.t option
-(** Register written by the instruction, if any. *)
-
-val used_regs : instr -> Reg.t list
-(** Registers read by the instruction. *)
 
 val validate : program -> (unit, string) Stdlib.result
 (** Check branch targets are within [0, length] and scales within 0..4. *)

@@ -104,8 +104,3 @@ let run_observed ?(seed = 0L) ?faults cfg { program; state1; state2; train } =
   (verdict, injected)
 
 let run ?seed ?faults cfg experiment = fst (run_observed ?seed ?faults cfg experiment)
-
-let observe_once ?(seed = 0L) cfg program ~train state =
-  let core = Core.create ~seed cfg.core in
-  (* No fault injection: the measurement is always present. *)
-  Option.get (measured_run cfg core (Core.decode program) ~train state)

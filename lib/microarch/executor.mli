@@ -49,12 +49,3 @@ val run_observed :
     run (always [0] without [faults]); the campaign layer aggregates the
     count into its statistics. *)
 
-val observe_once :
-  ?seed:int64 ->
-  config ->
-  Scamv_arch.Isa.program ->
-  train:Scamv_isa.Machine.t list ->
-  Scamv_isa.Machine.t ->
-  (int * int64 list) list
-(** Train, run one input once, and return the attacker's view of the
-    final cache (exposed for the examples and tests). *)

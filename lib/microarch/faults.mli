@@ -31,7 +31,7 @@ val injected : t -> int
 
 val apply : t -> (int * int64 list) list -> (int * int64 list) list option
 (** Possibly corrupt one attacker observation (a cache/TLB/time snapshot
-    as produced by {!Executor.observe_once}).  [None] models a dropped
+    as produced by one measured executor run).  [None] models a dropped
     measurement; [Some v'] is the (possibly perturbed or polluted)
     observation.  With probability [1 - rate] the observation passes
     through untouched. *)

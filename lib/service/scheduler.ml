@@ -174,21 +174,15 @@ let build_config t s isa =
   let p = s.Session.params in
   let* template = Workload.lookup_template ~isa p.Session.template in
   let* setup = Workload.lookup_setup p.Session.setup in
-  let sat_budget =
-    if p.Session.max_conflicts > 0 then
-      Some (Scamv_smt.Sat.budget ~conflicts:p.Session.max_conflicts ())
-    else None
-  in
-  let deadline =
-    if p.Session.deadline_conflicts > 0 then
-      Some (Deadline.Conflicts p.Session.deadline_conflicts)
-    else None
-  in
+  let positive n = if n > 0 then Some n else None in
   Ok
     (Campaign.make ~name:s.Session.campaign_name ~isa ~template ~setup
        ~view:(Workload.view_for p.Session.setup) ~programs:p.Session.programs
        ~tests_per_program:p.Session.tests_per_program ~seed:s.Session.seed
-       ?sat_budget ~portfolio:p.Session.portfolio ?deadline ~clock:t.cfg.clock
+       ?max_conflicts:(positive p.Session.max_conflicts)
+       ~portfolio:p.Session.portfolio
+       ?deadline_conflicts:(positive p.Session.deadline_conflicts)
+       ~clock:t.cfg.clock
        ~cancel:s.Session.cancel ())
 
 let finish_counter = function
@@ -243,28 +237,19 @@ let run_session t s ~slot =
            ( outcome.Campaign.stats,
              outcome.Campaign.wall_seconds,
              outcome.Campaign.telemetry )))
-   | Ok `Diff ->
-     let p = s.Session.params in
-     (match Workload.lookup_setup p.Session.setup with
+   | Ok `Diff -> (
+     (* [Diff.run] instantiates the template per side; the AArch64
+        config only carries the shared campaign parameters. *)
+     match build_config t s Isa.Aarch64 with
      | Error msg -> Session.conclude s (Session.Failed msg) ()
-     | Ok setup ->
+     | Ok cfg ->
        (* Differential campaigns re-run from scratch after a restart:
           the comparison needs both sides' full event streams, so a
           partial journal is not resumed into. *)
        with_journal (fun journal ->
            let outcome =
              Diff.run ~on_event ~on_record ~journal ~pool
-               ~name:s.Session.campaign_name ~template:p.Session.template
-               ~setup ~view:(Workload.view_for p.Session.setup)
-               ~programs:p.Session.programs
-               ~tests_per_program:p.Session.tests_per_program
-               ~seed:s.Session.seed
-               ?sat_budget:
-                 (if p.Session.max_conflicts > 0 then
-                    Some (Scamv_smt.Sat.budget ~conflicts:p.Session.max_conflicts ())
-                  else None)
-               ~portfolio:p.Session.portfolio ~clock:t.cfg.clock
-               ~cancel:s.Session.cancel ()
+               ~template:s.Session.params.Session.template cfg
            in
            let wall =
              outcome.Diff.aarch64.Campaign.wall_seconds

@@ -178,9 +178,6 @@ let num_vars t = t.nvars
 let stats_conflicts t = t.conflicts
 let stats_decisions t = t.decisions
 let stats_propagations t = t.propagations
-let stats_restarts t = t.restarts
-let stats_learned t = t.learned_total
-let stats_deleted t = t.deleted_total
 
 (* ---- clause arena accessors ---- *)
 
@@ -1003,33 +1000,7 @@ let push_level t =
 
 type outcome = Sat | Unsat | Unknown
 
-type budget = {
-  max_conflicts : int option;
-  max_decisions : int option;
-  max_propagations : int option;
-}
-
-let unlimited =
-  { max_conflicts = None; max_decisions = None; max_propagations = None }
-
-let budget ?conflicts ?decisions ?propagations () =
-  {
-    max_conflicts = conflicts;
-    max_decisions = decisions;
-    max_propagations = propagations;
-  }
-
-let pp_budget ppf b =
-  let field name = function None -> [] | Some n -> [ Printf.sprintf "%s<=%d" name n ] in
-  let parts =
-    field "conflicts" b.max_conflicts
-    @ field "decisions" b.max_decisions
-    @ field "propagations" b.max_propagations
-  in
-  Format.pp_print_string ppf
-    (match parts with [] -> "unlimited" | _ -> String.concat "," parts)
-
-let solve ?(assumptions = [||]) ?n_assumptions ?(budget = unlimited) t =
+let solve ?(assumptions = [||]) ?n_assumptions ?max_conflicts t =
   let n_assumptions =
     match n_assumptions with
     | None -> Array.length assumptions
@@ -1071,20 +1042,14 @@ let solve ?(assumptions = [||]) ?n_assumptions ?(budget = unlimited) t =
       done;
       outcome
     in
-    (* Budgets are per-call: the caps apply to the work done by this
-       [solve], not to the cumulative counters of the solver's life. *)
-    let limit base = function None -> max_int | Some n -> base + n in
-    let conflict_limit = limit t.conflicts budget.max_conflicts in
-    let decision_limit = limit t.decisions budget.max_decisions in
-    let propagation_limit = limit t.propagations budget.max_propagations in
-    let over_budget () =
-      t.conflicts > conflict_limit
-      || t.decisions > decision_limit
-      || t.propagations > propagation_limit
+    (* The cap is per call: it bounds the conflicts spent by this
+       [solve], not the cumulative counter of the solver's life. *)
+    let conflict_limit =
+      match max_conflicts with None -> max_int | Some n -> t.conflicts + n
     in
     (* Cooperative cancellation: capture the ambient deadline token once
-       per query, charge it one unit per conflict, and check it beside the
-       budget at the loop head.  Expiry exits the search like an
+       per query, charge it one unit per conflict, and check it after the
+       conflict cap at the loop head.  Expiry exits the search like an
        out-of-budget stop (trail rewound, telemetry flushed) and then
        raises, so the solver object stays reusable. *)
     let deadline = Scamv_util.Deadline.current () in
@@ -1159,7 +1124,7 @@ let solve ?(assumptions = [||]) ?n_assumptions ?(budget = unlimited) t =
           let local_conflicts = ref 0 in
           let restart = ref false in
           while !result = None && not !restart do
-            if over_budget () then result := Some Unknown
+            if t.conflicts > conflict_limit then result := Some Unknown
             else if deadline_expired () then begin
               deadline_hit := true;
               result := Some Unknown

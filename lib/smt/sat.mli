@@ -106,29 +106,12 @@ val num_scopes : t -> int
 (** Number of currently open {!push} scopes. *)
 
 type outcome = Sat | Unsat | Unknown
-(** Three-valued solve result.  [Unknown] means a resource budget was
-    exhausted before the search finished: the instance is neither proved
+(** Three-valued solve result.  [Unknown] means the conflict cap was
+    reached before the search finished: the instance is neither proved
     satisfiable nor unsatisfiable, and the solver remains usable. *)
 
-type budget = {
-  max_conflicts : int option;
-  max_decisions : int option;
-  max_propagations : int option;
-}
-(** Per-call resource caps.  Each cap bounds the work done by one [solve]
-    call (deltas over the solver's cumulative counters), so a long-lived
-    enumeration session gets a fresh allowance on every call. *)
-
-val unlimited : budget
-
-val budget :
-  ?conflicts:int -> ?decisions:int -> ?propagations:int -> unit -> budget
-(** Budget smart constructor; omitted dimensions are uncapped. *)
-
-val pp_budget : Format.formatter -> budget -> unit
-
 val solve :
-  ?assumptions:lit array -> ?n_assumptions:int -> ?budget:budget -> t -> outcome
+  ?assumptions:lit array -> ?n_assumptions:int -> ?max_conflicts:int -> t -> outcome
 (** [solve t] returns [Sat] iff the clause set is satisfiable; when
     [Sat], {!value} reads the satisfying assignment.
 
@@ -149,11 +132,11 @@ val solve :
     suffix alone.  Adding a clause between calls invalidates the kept
     prefix automatically.
 
-    [budget] caps the conflicts/decisions/propagations this call may
-    spend; when a cap is hit the call stops with [Unknown], the trail is
-    rewound, and the solver (including all learnt clauses) stays usable —
-    a later call with a larger budget resumes from the accumulated
-    knowledge.
+    [max_conflicts] caps the conflicts this call may spend: once it has
+    spent more than that many, the call stops with [Unknown], the trail
+    is rewound, and the solver (including all learnt clauses) stays
+    usable — a later call with a larger cap resumes from the accumulated
+    knowledge.  The cap is checked at the loop head, before the deadline.
 
     Cooperative cancellation: the search charges the ambient
     {!Scamv_util.Deadline} token (when one is installed) one unit per
@@ -191,15 +174,3 @@ val stats_conflicts : t -> int
 
 val stats_decisions : t -> int
 val stats_propagations : t -> int
-
-val stats_restarts : t -> int
-(** Luby restarts performed so far.  Campaign-wide solver work totals are
-    no longer read from a process global: the benchmark harness sums the
-    per-query deltas that [solve] flushes into the telemetry registry. *)
-
-val stats_learned : t -> int
-(** Clauses learnt over the instance's lifetime. *)
-
-val stats_deleted : t -> int
-(** Learnt/problem clauses deleted by clause-DB reduction and root-level
-    simplification over the instance's lifetime. *)

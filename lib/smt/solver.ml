@@ -11,7 +11,7 @@ type session = {
   state : Arrays.state;  (* array-elimination state, for [extend] *)
   mutable reads : Arrays.read list;
   mutable track : (string * Sort.t) list;  (* inputs to block on *)
-  budget : Sat.budget option;
+  max_conflicts : int option;  (* per-SAT-call conflict cap *)
   mutable count : int;
   mutable exhausted : bool;
   mutable rng : Splitmix.t;
@@ -66,7 +66,8 @@ let expand_track reads track =
       | _ -> [ (x, s) ])
     track
 
-let make_session ?seed ?default_phase ?restart_base ?track ?budget ?graph formulas =
+let make_session ?seed ?default_phase ?restart_base ?track ?max_conflicts ?graph
+    formulas =
   let state = Arrays.new_state () in
   let { Arrays.formulas = fs; side_conditions; reads } =
     Arrays.eliminate_into state formulas
@@ -99,7 +100,7 @@ let make_session ?seed ?default_phase ?restart_base ?track ?budget ?graph formul
     state;
     reads;
     track;
-    budget;
+    max_conflicts;
     count = 0;
     exhausted = false;
     rng = Splitmix.of_seed (Option.value seed ~default:1L);
@@ -118,7 +119,7 @@ exception Out_of_budget
 
 let minimize_model s =
   let sat = Blaster.solver s.blaster in
-  let budget = Option.value s.budget ~default:Sat.unlimited in
+  let max_conflicts = s.max_conflicts in
   let lit_true l =
     if Sat.is_pos l then Sat.value sat (Sat.var_of l)
     else not (Sat.value sat (Sat.var_of l))
@@ -152,7 +153,7 @@ let minimize_model s =
         else if not (lit_true l) then push (Sat.negate l)
         else begin
           push (Sat.negate l);
-          match Sat.solve ~assumptions:!pins ~n_assumptions:!n_pins ~budget sat with
+          match Sat.solve ~assumptions:!pins ~n_assumptions:!n_pins ?max_conflicts sat with
           | Sat.Unknown -> raise Out_of_budget
           | Sat.Sat -> () (* the cleared bit stays pinned *)
           | Sat.Unsat -> (
@@ -168,7 +169,7 @@ let minimize_model s =
                this must be satisfiable; if it is not, enumeration state
                is corrupt and the campaign layer should quarantine this
                session rather than crash. *)
-            match Sat.solve ~assumptions:!pins ~n_assumptions:!n_pins ~budget sat with
+            match Sat.solve ~assumptions:!pins ~n_assumptions:!n_pins ?max_conflicts sat with
             | Sat.Sat -> ()
             | Sat.Unknown -> raise Out_of_budget
             | Sat.Unsat ->
@@ -188,8 +189,7 @@ let next_model ?(diversify = false) s =
       Sat.randomize_phases (Blaster.solver s.blaster) seed
     end
     else Sat.reset_phases (Blaster.solver s.blaster);
-    let budget = Option.value s.budget ~default:Sat.unlimited in
-    match Sat.solve ~budget (Blaster.solver s.blaster) with
+    match Sat.solve ?max_conflicts:s.max_conflicts (Blaster.solver s.blaster) with
     | Sat.Unknown ->
       Scamv_telemetry.Collector.incr "smt.budget_exceeded";
       Budget_exceeded
@@ -222,8 +222,7 @@ let solve_assuming s assumptions =
   let lits =
     Array.of_list (List.map (Blaster.bool_literal s.blaster) assumptions)
   in
-  let budget = Option.value s.budget ~default:Sat.unlimited in
-  match Sat.solve ~assumptions:lits ~budget sat with
+  match Sat.solve ~assumptions:lits ?max_conflicts:s.max_conflicts sat with
   | Sat.Unknown ->
     Scamv_telemetry.Collector.incr "smt.budget_exceeded";
     Budget_exceeded
@@ -283,9 +282,7 @@ let stats s =
   let sat = Blaster.solver s.blaster in
   (Sat.stats_conflicts sat, Sat.stats_decisions sat, Sat.stats_propagations sat)
 
-let var_count s = Sat.num_vars (Blaster.solver s.blaster)
-
 let solve ?seed ?default_phase ?graph formulas =
   let s = make_session ?seed ?default_phase ?graph formulas in
-  (* No budget is installed, so [Budget_exceeded] cannot occur here. *)
+  (* No conflict cap is installed, so [Budget_exceeded] cannot occur here. *)
   match next_model s with Model m -> Sat m | Exhausted | Budget_exceeded -> Unsat

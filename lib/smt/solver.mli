@@ -23,8 +23,9 @@ type model_result =
   | Model of Model.t
   | Exhausted  (** no further distinct model exists *)
   | Budget_exceeded
-      (** the session's SAT budget ran out before this call could decide;
-          the session stays usable but the caller should quarantine it *)
+      (** a SAT call of the session hit its conflict cap before it could
+          decide; the session stays usable but the caller should
+          quarantine it *)
 
 val solve :
   ?seed:int64 -> ?default_phase:bool -> ?graph:Blaster.graph -> Term.t list -> result
@@ -41,7 +42,7 @@ val make_session :
   ?default_phase:bool ->
   ?restart_base:int ->
   ?track:(string * Sort.t) list ->
-  ?budget:Sat.budget ->
+  ?max_conflicts:int ->
   ?graph:Blaster.graph ->
   Term.t list ->
   session
@@ -59,9 +60,10 @@ val make_session :
     they read).  Tracking matters: the paper enumerates *distinct test
     cases*, i.e. assignments that differ on program-visible state.
 
-    [budget] bounds every underlying SAT call of this session (including
-    the per-bit calls of the model minimizer); when it is exceeded,
-    {!next_model} reports [Budget_exceeded].
+    [max_conflicts] caps the conflicts of every underlying SAT call of
+    this session ({!Sat.solve}), each per-bit call of the model minimizer
+    included; when a call reaches it, {!next_model} reports
+    [Budget_exceeded].
 
     [graph] is a shared {!Blaster.graph}: sessions of the same program
     pass one graph so the bit-blaster reuses hash-consed circuit nodes
@@ -71,7 +73,7 @@ val make_session :
 
 val next_model : ?diversify:bool -> session -> model_result
 (** Next model, [Exhausted] when the space is empty, or [Budget_exceeded]
-    when the session budget ran out mid-search.  With [diversify] the
+    when a SAT call hit the session's conflict cap mid-search.  With [diversify] the
     solver randomizes decision phases first, spreading consecutive models
     across the state space instead of walking it in lexicographic order
     (used by the refinement-guided campaigns). *)
@@ -124,6 +126,3 @@ val models_found : session -> int
 
 val stats : session -> int * int * int
 (** (conflicts, decisions, propagations) of the underlying SAT solver. *)
-
-val var_count : session -> int
-(** Number of SAT variables allocated (inputs + gates). *)

@@ -322,7 +322,6 @@ let sle a b =
     a b
 
 let ugt a b = ult b a
-let uge a b = ule b a
 
 let binop_fold op w x y =
   match op with

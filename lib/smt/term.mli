@@ -86,7 +86,6 @@ val neq : t -> t -> t
 val ult : t -> t -> t
 val ule : t -> t -> t
 val ugt : t -> t -> t
-val uge : t -> t -> t
 val slt : t -> t -> t
 val sle : t -> t -> t
 

@@ -28,10 +28,6 @@
 
 type spec = Conflicts of int | Wall_seconds of float
 
-let pp_spec ppf = function
-  | Conflicts n -> Format.fprintf ppf "%d conflicts" n
-  | Wall_seconds s -> Format.fprintf ppf "%.3fs wall clock" s
-
 type t = {
   spec : spec;
   clock : Stopwatch.clock;

@@ -23,8 +23,6 @@
 
 type spec = Conflicts of int | Wall_seconds of float
 
-val pp_spec : Format.formatter -> spec -> unit
-
 type t
 
 exception Expired of string

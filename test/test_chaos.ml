@@ -9,12 +9,10 @@ module Campaign = Scamv.Campaign
 module Journal = Scamv.Journal
 module Retry = Scamv.Retry
 module Stats = Scamv.Stats
-module Sat = Scamv_smt.Sat
 module Templates = Scamv_gen.Templates
 module Refinement = Scamv_models.Refinement
 module Executor = Scamv_microarch.Executor
 module Chaos = Scamv_util.Chaos
-module Deadline = Scamv_util.Deadline
 module Stopwatch = Scamv_util.Stopwatch
 module Collector = Scamv_telemetry.Collector
 module Metrics = Scamv_telemetry.Metrics
@@ -24,13 +22,12 @@ let temp_path name =
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   path
 
-let cfg ?deadline ?chaos ?(programs = 4) ?(tests = 2) () =
+let cfg ?deadline_conflicts ?chaos ?(programs = 4) ?(tests = 2) () =
   Campaign.make ~name:"chaos-test"
     ~template:(Templates.by_name "A")
     ~setup:(Refinement.mct_vs_mspec ())
     ~programs ~tests_per_program:tests ~seed:2021L
-    ~sat_budget:(Sat.budget ~conflicts:150 ())
-    ?deadline ?chaos ~clock:Stopwatch.frozen ()
+    ~max_conflicts:150 ?deadline_conflicts ?chaos ~clock:Stopwatch.frozen ()
 
 let run ?resume ~jobs c =
   let journal = Journal.create () in
@@ -193,7 +190,7 @@ let test_journal_poison_truncates_on_recovery () =
 let test_deadline_expiry_records_crash () =
   let programs = 6 in
   let journal, outcome, _ =
-    run ~jobs:1 (cfg ~deadline:(Deadline.Conflicts 150) ~programs ~tests:3 ())
+    run ~jobs:1 (cfg ~deadline_conflicts:150 ~programs ~tests:3 ())
   in
   let crashed = outcome.Campaign.stats.Stats.crashed_programs in
   Alcotest.(check bool) "some programs hit the deadline" true (crashed > 0);
@@ -216,7 +213,7 @@ let test_deadline_expiry_records_crash () =
 let test_deadline_jobs_independent () =
   let go jobs =
     let journal, outcome, events =
-      run ~jobs (cfg ~deadline:(Deadline.Conflicts 150) ~programs:6 ~tests:3 ())
+      run ~jobs (cfg ~deadline_conflicts:150 ~programs:6 ~tests:3 ())
     in
     (Journal.to_csv journal, outcome.Campaign.stats, events)
   in

@@ -393,11 +393,11 @@ let test_faults_config_validation () =
 
 (* ---- campaign robustness (the PR's acceptance criteria) ---- *)
 
-let noisy_cfg ?sat_budget ~programs ~tests () =
+let noisy_cfg ?max_conflicts ~programs ~tests () =
   Campaign.make ~name:"noisy"
     ~template:(Templates.by_name "A")
     ~setup:(Refinement.mct_vs_mspec ())
-    ~programs ~tests_per_program:tests ~seed:2021L ?sat_budget
+    ~programs ~tests_per_program:tests ~seed:2021L ?max_conflicts
     ~retry:(Retry.make ~max_attempts:3 ())
     ~faults:(Faults.config ~rate:0.1 ~seed:7L ())
     ()
@@ -435,7 +435,7 @@ let test_campaign_noisy_budgeted_completes () =
      complete without raising, retry noisy experiments, and quarantine
      budget-blown path pairs. *)
   let cfg =
-    noisy_cfg ~sat_budget:(Sat.budget ~conflicts:100 ()) ~programs:6 ~tests:4 ()
+    noisy_cfg ~max_conflicts:100 ~programs:6 ~tests:4 ()
   in
   let outcome = Campaign.run cfg in
   let s = outcome.Campaign.stats in
@@ -447,7 +447,7 @@ let test_campaign_noisy_budgeted_completes () =
 
 let test_campaign_resume_matches_uninterrupted () =
   let cfg =
-    noisy_cfg ~sat_budget:(Sat.budget ~conflicts:100 ()) ~programs:5 ~tests:3 ()
+    noisy_cfg ~max_conflicts:100 ~programs:5 ~tests:3 ()
   in
   let full_journal = Journal.create () in
   let full = Campaign.run ~journal:full_journal cfg in
@@ -486,7 +486,7 @@ let test_campaign_resume_recovers_damaged_tail () =
      must recover the clean prefix, re-run what was dropped, and land on
      final statistics identical to an uninterrupted run. *)
   let cfg =
-    noisy_cfg ~sat_budget:(Sat.budget ~conflicts:100 ()) ~programs:4 ~tests:3 ()
+    noisy_cfg ~max_conflicts:100 ~programs:4 ~tests:3 ()
   in
   let full = Campaign.run cfg in
   let persisted () =

@@ -83,7 +83,7 @@ let test_portfolio_rescues_budget_exhausted_pair () =
         let cfg =
           {
             (Pipeline.default_config (Refinement.mct_vs_mspec ())) with
-            Pipeline.budget = Some (Scamv_smt.Sat.budget ~conflicts:100 ());
+            Pipeline.max_conflicts = Some 100;
             Pipeline.portfolio;
           }
         in
@@ -152,7 +152,7 @@ let test_campaign_portfolio_rescue_jobs_identity () =
       Campaign.make ~name:"portfolio-rescue" ~template:Templates.template_a
         ~setup:(Refinement.mct_vs_mspec ()) ~programs:6 ~tests_per_program:4
         ~seed:2021L
-        ~sat_budget:(Scamv_smt.Sat.budget ~conflicts:100 ())
+        ~max_conflicts:100
         ~portfolio:4 ~clock:Scamv_util.Stopwatch.frozen ()
     in
     let journal = Scamv.Journal.create () in
@@ -194,18 +194,16 @@ let smoke_name = "mct-vs-mspec on template A"
 let smoke_config ?(isa = Isa.Aarch64) ?deadline_conflicts () =
   Campaign.make ~name:smoke_name ~isa ~template:(Templates.by_name ~isa "A")
     ~setup:(Refinement.mct_vs_mspec ()) ~programs:6 ~tests_per_program:4
-    ~seed:2021L ~sat_budget:(Scamv_smt.Sat.budget ~conflicts:100 ())
-    ~portfolio:2 ~retry:(Scamv.Retry.make ~max_attempts:3 ())
+    ~seed:2021L ~max_conflicts:100 ~portfolio:2
+    ~retry:(Scamv.Retry.make ~max_attempts:3 ())
     ~faults:(Scamv_microarch.Faults.config ~rate:0.1 ~seed:7L ())
-    ?deadline:
-      (Option.map (fun n -> Scamv_util.Deadline.Conflicts n) deadline_conflicts)
-    ~clock:Stopwatch.frozen ()
+    ?deadline_conflicts ~clock:Stopwatch.frozen ()
 
 let run_diff journal =
-  Scamv.Diff.run ~journal ~name:smoke_name ~template:"A"
-    ~setup:(Refinement.mct_vs_mspec ()) ~programs:6 ~tests_per_program:4
-    ~seed:2021L ~sat_budget:(Scamv_smt.Sat.budget ~conflicts:200 ())
-    ~portfolio:2 ~clock:Stopwatch.frozen ()
+  Scamv.Diff.run ~journal ~template:"A"
+    (Campaign.make ~name:smoke_name ~template:Templates.template_a
+       ~setup:(Refinement.mct_vs_mspec ()) ~programs:6 ~tests_per_program:4
+       ~seed:2021L ~max_conflicts:200 ~portfolio:2 ~clock:Stopwatch.frozen ())
 
 let digest journal stats =
   Digest.to_hex

@@ -422,7 +422,7 @@ let noisy_cfg ~clock () =
     ~template:(Templates.by_name "A")
     ~setup:(Refinement.mct_vs_mspec ())
     ~programs:6 ~tests_per_program:3 ~seed:2021L
-    ~sat_budget:(Sat.budget ~conflicts:100 ())
+    ~max_conflicts:100
     ~retry:(Retry.make ~max_attempts:3 ())
     ~faults:(Faults.config ~rate:0.1 ~seed:7L ())
     ~clock ()

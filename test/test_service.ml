@@ -431,6 +431,32 @@ let test_scheduler_concurrent_matches_batch () =
     sessions;
   Scheduler.shutdown t
 
+(* A served differential campaign honours its per-program virtual
+   deadline on both sides: at 150 conflicts some programs of the smoke
+   workload run out of deadline and stream as crashed records. *)
+let test_scheduler_diff_deadline () =
+  let t = Scheduler.create ~config:(sched_config ()) () in
+  let s =
+    match
+      Scheduler.submit t ~tenant:"diff"
+        { Session.default_params with Session.isa = "diff"; programs = 6;
+          tests_per_program = 4; seed = Some 2021L; deadline_conflicts = 150 }
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "submit failed"
+  in
+  wait_terminal s;
+  Scheduler.shutdown t;
+  Alcotest.(check bool) "completed" true (Session.state s = Session.Completed);
+  let crashed line =
+    let record = Json.member "record" (Json.of_string line) in
+    let field k = Option.bind (Option.bind record (Json.member k)) Json.to_str in
+    field "kind" = Some "crashed"
+    && field "reason" = Some "virtual deadline of 150 conflicts exceeded"
+  in
+  Alcotest.(check bool) "a program crashed on its deadline" true
+    (List.exists crashed (record_lines_of s))
+
 (* ---- server: wire-level connection management ---- *)
 
 let with_server ?(concurrency = 1) ?(jobs = 1) ?max_connections ?idle_timeout
@@ -702,6 +728,8 @@ let () =
             test_scheduler_stream_matches_batch;
           Alcotest.test_case "concurrent campaigns match batch runs" `Quick
             test_scheduler_concurrent_matches_batch;
+          Alcotest.test_case "diff campaign honours its deadline" `Quick
+            test_scheduler_diff_deadline;
         ] );
       ( "server",
         [

@@ -177,7 +177,7 @@ let test_sat_incremental_blocking () =
   loop ();
   Alcotest.(check Alcotest.int) "four models" 4 !count
 
-let test_sat_budget_unknown () =
+let test_sat_conflict_cap_unknown () =
   (* Pigeonhole 6/5 takes well over one conflict; a one-conflict budget
      must come back Unknown, and an unbounded re-solve of the same solver
      must still decide Unsat (the learnt clauses survive the cutoff). *)
@@ -195,15 +195,15 @@ let test_sat_budget_unknown () =
     done
   done;
   Alcotest.(check bool) "unknown under tight budget" true
-    (Sat.solve ~budget:(Sat.budget ~conflicts:1 ()) s = Sat.Unknown);
+    (Sat.solve ~max_conflicts:1 s = Sat.Unknown);
   Alcotest.(check bool) "still decidable afterwards" true (Sat.solve s = Sat.Unsat)
 
-let test_sat_budget_generous_is_exact () =
+let test_sat_generous_cap_is_exact () =
   let s = Sat.create () in
   let v = Sat.new_var s in
   Sat.add_clause s [ Sat.pos v ];
   Alcotest.(check bool) "sat within budget" true
-    (Sat.solve ~budget:(Sat.budget ~conflicts:1000 ~decisions:1000 ()) s = Sat.Sat)
+    (Sat.solve ~max_conflicts:1000 s = Sat.Sat)
 
 let test_solver_budget_exceeded_surfaces () =
   (* A multiplication relation is hard for the bit-blasted CDCL core; a
@@ -212,7 +212,7 @@ let test_solver_budget_exceeded_surfaces () =
   let x = T.bv_var "x" 32 and y = T.bv_var "y" 32 in
   let f = T.eq (T.mul x y) (T.bv_const 0x12345677L 32) in
   let s =
-    Solver.make_session ~budget:(Sat.budget ~conflicts:1 ()) [ f; T.ugt x (T.bv_one 32) ]
+    Solver.make_session ~max_conflicts:1 [ f; T.ugt x (T.bv_one 32) ]
   in
   match Solver.next_model s with
   | Solver.Budget_exceeded -> ()
@@ -1119,8 +1119,8 @@ let () =
           Alcotest.test_case "pigeonhole 3/2" `Quick test_sat_pigeonhole_3_2;
           Alcotest.test_case "pigeonhole 4/3" `Quick test_sat_pigeonhole_4_3;
           Alcotest.test_case "incremental blocking" `Quick test_sat_incremental_blocking;
-          Alcotest.test_case "budget unknown" `Quick test_sat_budget_unknown;
-          Alcotest.test_case "budget generous" `Quick test_sat_budget_generous_is_exact;
+          Alcotest.test_case "budget unknown" `Quick test_sat_conflict_cap_unknown;
+          Alcotest.test_case "budget generous" `Quick test_sat_generous_cap_is_exact;
           QCheck_alcotest.to_alcotest prop_sat_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_sat_matches_brute_force_wide;
           QCheck_alcotest.to_alcotest prop_push_pop_matches_brute_force;

@@ -168,7 +168,7 @@ let noisy_cfg () =
     ~template:(Templates.by_name "A")
     ~setup:(Refinement.mct_vs_mspec ())
     ~programs:5 ~tests_per_program:2 ~seed:2021L
-    ~sat_budget:(Sat.budget ~conflicts:100 ())
+    ~max_conflicts:100
     ~retry:(Retry.make ~max_attempts:3 ())
     ~faults:(Faults.config ~rate:0.1 ~seed:7L ())
     ~clock:Stopwatch.frozen ()
