@@ -337,8 +337,8 @@ let campaign_cmd =
       const run $ template_arg $ setup_arg $ isa_arg $ programs_arg $ tests_arg
       $ seed_arg $ verbose_arg $ csv_arg $ resume_arg $ max_conflicts_arg
       $ max_attempts_arg $ confirm_arg $ fault_rate_arg $ fault_seed_arg
-      $ deadline_conflicts_arg $ chaos_rate_arg $ chaos_seed_arg $ portfolio_arg $ jobs_arg $ trace_arg
-      $ metrics_arg)
+      $ deadline_conflicts_arg $ chaos_rate_arg $ chaos_seed_arg $ portfolio_arg
+      $ jobs_arg $ trace_arg $ metrics_arg)
   in
   let info =
     Cmd.info "campaign" ~doc:"Run a validation campaign and print Table-1-style statistics."

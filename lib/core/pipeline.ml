@@ -167,7 +167,8 @@ let prepare ?(seed = 0L) cfg isa_program =
             end
             else
               Solver.make_session ~default_phase ~restart_base ?track
-                ?max_conflicts:cfg.max_conflicts ~seed ~graph relation.Synth.assertions
+                ?max_conflicts:cfg.max_conflicts ~seed ~graph
+                relation.Synth.assertions
           in
           let session = build 0 in
           let training = lazy (Training.states tcache ~pair) in

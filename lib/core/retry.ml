@@ -1,111 +1,37 @@
 module Executor = Scamv_microarch.Executor
-module Splitmix = Scamv_util.Splitmix
 
 (* Retry with majority voting, the software analogue of the paper's
-   practice of re-running flaky experiments on the boards.  Attempt costs
-   grow exponentially (attempt i costs 2^i units) so a persistently noisy
-   experiment cannot eat a campaign's time the way an honest retry loop
-   would: the budget admits ~log2(budget) attempts, not budget attempts. *)
+   practice of re-running flaky experiments on the boards. *)
 
-(* ---- escalating backoff with deterministic seeded jitter ----
+type policy = { max_attempts : int; confirm : int }
 
-   Retrying against a shared flaky resource (a board farm, a service)
-   wants spacing between attempts, and jitter so simultaneous campaigns
-   don't retry in lockstep.  The jitter here is *seeded*, not ambient
-   randomness: the delay for (policy, seed, attempt) is a pure function,
-   so a retry schedule is reproducible from the campaign seed — the same
-   property every other random choice in the reproduction has. *)
+let default = { max_attempts = 1; confirm = 1 }
 
-type backoff = {
-  base_delay : float;
-  multiplier : float;
-  max_delay : float;
-  jitter : float;
-}
-
-let backoff ?(base_delay = 0.05) ?(multiplier = 2.0) ?(max_delay = 5.0)
-    ?(jitter = 0.25) () =
-  if base_delay < 0.0 then invalid_arg "Retry.backoff: base_delay must be >= 0";
-  if multiplier < 1.0 then invalid_arg "Retry.backoff: multiplier must be >= 1";
-  if max_delay < base_delay then
-    invalid_arg "Retry.backoff: max_delay must be >= base_delay";
-  if jitter < 0.0 || jitter > 1.0 then
-    invalid_arg "Retry.backoff: jitter must be in [0, 1]";
-  { base_delay; multiplier; max_delay; jitter }
-
-let golden = 0x9E3779B97F4A7C15L
-
-let backoff_delay b ~seed ~attempt =
-  if attempt < 1 then invalid_arg "Retry.backoff_delay: attempt must be >= 1";
-  let raw = b.base_delay *. (b.multiplier ** float_of_int (attempt - 1)) in
-  let capped = Float.min raw b.max_delay in
-  if b.jitter = 0.0 then capped
-  else begin
-    (* One throwaway stream per (seed, attempt): the draw is independent
-       of how many other draws happened, like Chaos decisions. *)
-    let mixed = Int64.add seed (Int64.mul (Int64.of_int attempt) golden) in
-    let u, _ = Splitmix.float (Splitmix.of_seed mixed) in
-    capped *. (1.0 -. b.jitter +. (b.jitter *. u))
-  end
-
-let backoff_schedule b ~seed ~attempts =
-  if attempts < 0 then invalid_arg "Retry.backoff_schedule: attempts must be >= 0";
-  List.init attempts (fun i -> backoff_delay b ~seed ~attempt:(i + 1))
-
-type policy = {
-  max_attempts : int;
-  confirm : int;
-  attempt_budget : int;
-  backoff : backoff option;
-}
-
-let default =
-  { max_attempts = 1; confirm = 1; attempt_budget = max_int; backoff = None }
-
-let make ?(max_attempts = 1) ?(confirm = 1) ?(attempt_budget = max_int)
-    ?backoff () =
+let make ?(max_attempts = 1) ?(confirm = 1) () =
   if max_attempts < 1 then invalid_arg "Retry.make: max_attempts must be >= 1";
   if confirm < 1 then invalid_arg "Retry.make: confirm must be >= 1";
-  if attempt_budget < 1 then invalid_arg "Retry.make: attempt_budget must be >= 1";
-  { max_attempts; confirm; attempt_budget; backoff }
+  { max_attempts; confirm }
 
 type outcome = {
   verdict : Executor.verdict;
   attempts : int;
   retries : int;
   faults : int;
-  backoff_seconds : float;
 }
 
-let execute ?(seed = 0L) ?(sleep = fun (_ : float) -> ()) policy run =
-  let dist = ref 0 and indist = ref 0 and inconclusive = ref 0 in
+let execute policy run =
+  let dist = ref 0 and indist = ref 0 in
   let attempts = ref 0 in
   let faults = ref 0 in
-  let cost = ref 0 in
-  let slept = ref 0.0 in
   let confirmed () = !dist >= policy.confirm || !indist >= policy.confirm in
-  let affordable () =
-    (* The first attempt is always allowed; attempt i costs 2^i units. *)
-    !attempts = 0
-    ||
-    let next_cost = 1 lsl min !attempts 62 in
-    !cost + next_cost <= policy.attempt_budget
-  in
-  while (not (confirmed ())) && !attempts < policy.max_attempts && affordable () do
-    (match policy.backoff with
-    | Some b when !attempts > 0 ->
-      let d = backoff_delay b ~seed ~attempt:!attempts in
-      slept := !slept +. d;
-      sleep d
-    | _ -> ());
-    cost := !cost + (1 lsl min !attempts 62);
+  while (not (confirmed ())) && !attempts < policy.max_attempts do
     let verdict, fault_count = run ~attempt:!attempts in
     incr attempts;
     faults := !faults + fault_count;
     match verdict with
     | Executor.Distinguishable -> incr dist
     | Executor.Indistinguishable -> incr indist
-    | Executor.Inconclusive -> incr inconclusive
+    | Executor.Inconclusive -> ()
   done;
   (* Majority vote over the conclusive attempts; persistent disagreement
      (or nothing conclusive at all) downgrades to Inconclusive. *)
@@ -114,10 +40,4 @@ let execute ?(seed = 0L) ?(sleep = fun (_ : float) -> ()) policy run =
     else if !indist > !dist then Executor.Indistinguishable
     else Executor.Inconclusive
   in
-  {
-    verdict;
-    attempts = !attempts;
-    retries = max 0 (!attempts - 1);
-    faults = !faults;
-    backoff_seconds = !slept;
-  }
+  { verdict; attempts = !attempts; retries = max 0 (!attempts - 1); faults = !faults }

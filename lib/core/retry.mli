@@ -1,5 +1,4 @@
-(** Retry policy with majority-vote verdict aggregation and escalating,
-    deterministically jittered backoff.
+(** Retry policy with majority-vote verdict aggregation.
 
     Real campaigns re-run flaky experiments: a measurement dropped by the
     board or perturbed by noise yields [Inconclusive], and only repeated
@@ -8,61 +7,18 @@
     [confirm] votes, and aggregates by majority; persistent disagreement
     (or no conclusive attempt at all) downgrades to [Inconclusive]. *)
 
-type backoff = {
-  base_delay : float;  (** seconds before the first retry *)
-  multiplier : float;  (** escalation factor per further retry (>= 1) *)
-  max_delay : float;  (** cap on any single delay *)
-  jitter : float;
-      (** jitter fraction in [0, 1]: the delay is scaled by a seeded
-          uniform draw from [[1 - jitter, 1]]; [0] disables jitter *)
-}
-
-val backoff :
-  ?base_delay:float ->
-  ?multiplier:float ->
-  ?max_delay:float ->
-  ?jitter:float ->
-  unit ->
-  backoff
-(** Defaults: 50ms base, doubling, 5s cap, 25% jitter.
-    @raise Invalid_argument on out-of-range fields. *)
-
-val backoff_delay : backoff -> seed:int64 -> attempt:int -> float
-(** Delay before retry [attempt] (counting from 1).  A {e pure function}
-    of (backoff, seed, attempt): the jitter draw uses a throwaway stream
-    keyed on (seed, attempt), so schedules are reproducible per seed and
-    independent of any other randomness — the property the qcheck suite
-    pins down. *)
-
-val backoff_schedule : backoff -> seed:int64 -> attempts:int -> float list
-(** The first [attempts] delays, i.e.
-    [[backoff_delay ~attempt:1; ...; backoff_delay ~attempt:attempts]]. *)
-
 type policy = {
   max_attempts : int;  (** hard cap on executions per experiment (>= 1) *)
   confirm : int;
       (** votes needed to accept a conclusive verdict early; [1] trusts
           the first conclusive attempt (retrying only on noise), higher
           values demand independent agreement *)
-  attempt_budget : int;
-      (** total cost units available; attempt [i] (0-based) costs [2^i],
-          so the budget admits roughly [log2 attempt_budget] attempts —
-          an exponential brake on persistently noisy experiments *)
-  backoff : backoff option;
-      (** spacing between attempts; [None] (the default) retries
-          immediately, the historical behaviour *)
 }
 
 val default : policy
 (** One attempt, no retries: the behaviour of a noise-free campaign. *)
 
-val make :
-  ?max_attempts:int ->
-  ?confirm:int ->
-  ?attempt_budget:int ->
-  ?backoff:backoff ->
-  unit ->
-  policy
+val make : ?max_attempts:int -> ?confirm:int -> unit -> policy
 (** @raise Invalid_argument if any count field is below 1. *)
 
 type outcome = {
@@ -70,20 +26,10 @@ type outcome = {
   attempts : int;  (** executions actually performed (>= 1) *)
   retries : int;  (** [attempts - 1] *)
   faults : int;  (** total injected faults observed across attempts *)
-  backoff_seconds : float;  (** total backoff delay requested *)
 }
 
 val execute :
-  ?seed:int64 ->
-  ?sleep:(float -> unit) ->
-  policy ->
-  (attempt:int -> Scamv_microarch.Executor.verdict * int) ->
-  outcome
+  policy -> (attempt:int -> Scamv_microarch.Executor.verdict * int) -> outcome
 (** [execute policy run] calls [run ~attempt:i] (with [i] counting from 0)
-    until a verdict is confirmed or attempts/budget run out.  [run] returns
-    the attempt's verdict and its injected-fault count.
-
-    When [policy.backoff] is set, [sleep] (default: no-op, so tests and
-    deterministic campaigns never block) is called before each retry with
-    the delay {!backoff_delay} computes from [seed] — pass [Unix.sleepf]
-    for real spacing in service use. *)
+    until a verdict is confirmed or the attempts run out.  [run] returns
+    the attempt's verdict and its injected-fault count. *)

@@ -8,7 +8,7 @@
    is current, or does nothing when none is), and return its frozen
    {!report}.  The consumer merges reports strictly in program order, so
    the merged registry and span stream compose with
-   [Scamv_util.Pool.run_ordered] and do not depend on the number of
+   [Scamv_util.Pool.run_supervised] and do not depend on the number of
    worker domains.
 
    All timestamps come from the collector's injectable

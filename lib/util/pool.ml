@@ -10,8 +10,8 @@
 
    Two lifecycles share that engine:
 
-   - [run_supervised] / [run_ordered]: one batch, domains spawned for the
-     call and joined before it returns (the original batch API).
+   - [run_supervised]: one batch, domains spawned for the call and joined
+     before it returns (the original batch API).
    - a {e persistent} pool ([create] / [exec] / [shutdown]): domains are
      spawned once and then sleep between batches, so a long-running
      service can run many campaigns on the same warmed-up pool and stop it
@@ -301,27 +301,3 @@ let run_supervised ~jobs ~tasks ?fatal ?on_restart ~worker ~consume () =
       ~finally:(fun () -> shutdown pool)
       (fun () -> exec pool ~tasks ?fatal ?on_restart ~worker ~consume ())
   end
-
-let run_ordered ~jobs ~tasks ~worker ~consume =
-  run_supervised ~jobs ~tasks ~worker
-    ~consume:(fun i -> function
-      | Ok v -> consume i v
-      | Error { exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace)
-    ()
-
-let map ~jobs f n =
-  if n < 0 then invalid_arg "Pool.map: n must be >= 0";
-  if n = 0 then [||]
-  else begin
-    let results = ref [] in
-    run_ordered ~jobs ~tasks:n ~worker:f ~consume:(fun _ v ->
-        results := v :: !results);
-    (* consume runs in index order, so the reversed accumulator is 0..n-1 *)
-    let arr = Array.make n (List.hd !results) in
-    List.iteri (fun k v -> arr.(n - 1 - k) <- v) !results;
-    arr
-  end
-
-let map_list ~jobs f xs =
-  let arr = Array.of_list xs in
-  Array.to_list (map ~jobs (fun i -> f arr.(i)) (Array.length arr))

@@ -12,9 +12,9 @@
     always runs on the calling domain, one call at a time, in index order,
     and is the only place that may touch shared state.
 
-    Two lifecycles expose the same batch engine: the one-shot calls
-    ({!run_supervised}, {!run_ordered}, {!map}) spawn domains for the call
-    and join them before returning, while a {e persistent} pool
+    Two lifecycles expose the same batch engine: the one-shot
+    {!run_supervised} spawns domains for the call and joins them before
+    returning, while a {e persistent} pool
     ({!create} / {!exec} / {!shutdown}) keeps its domains parked between
     batches so a long-running service can run many campaigns on one
     warmed-up pool — see DESIGN.md Sec. 10. *)
@@ -121,8 +121,11 @@ val run_supervised :
   consume:(int -> ('a, failure) result -> unit) ->
   unit ->
   unit
-(** Supervised variant of {!run_ordered}: a worker exception is captured
-    as a per-item [Error] and handed to [consume] at the item's index —
+(** [run_supervised ~jobs ~tasks ~worker ~consume ()] computes [worker i]
+    for every [i] in [0..tasks-1] on [jobs] domains ([0] = all cores) and
+    calls [consume i result] on the calling domain in increasing [i].  A
+    worker exception is captured as a per-item [Error] and handed to
+    [consume] at the item's index —
     the pool itself never re-raises it, so one crashing item cannot abort
     the remaining work.
 
@@ -137,7 +140,7 @@ val run_supervised :
     where no domain exists but [on_restart] still fires).  Non-fatal
     exceptions leave the worker domain alive and pulling further items.
 
-    Drain order (also the contract of {!run_ordered}): [consume] observes
+    Drain order: [consume] observes
     items [0, 1, 2, ...] with no gaps; every {e taken} index is always
     filled (workers deposit their result or failure before exiting for any
     reason), so the consumer never waits on a slot that no live or future
@@ -148,30 +151,3 @@ val run_supervised :
 
     With [jobs = 1] everything runs sequentially on the calling domain
     with no domain spawned. *)
-
-val run_ordered :
-  jobs:int ->
-  tasks:int ->
-  worker:(int -> 'a) ->
-  consume:(int -> 'a -> unit) ->
-  unit
-(** [run_ordered ~jobs ~tasks ~worker ~consume] computes [worker i] for
-    every [i] in [0..tasks-1] on [jobs] domains ([0] = all cores) and calls
-    [consume i result] on the calling domain in increasing [i].
-
-    With [jobs = 1] everything runs sequentially on the calling domain
-    with no domain spawned ([worker 0], [consume 0], [worker 1], ...).
-
-    An exception raised by [worker i] is re-raised (with its original
-    backtrace) from the consumer at position [i]; an exception from either
-    side cancels the remaining items under the drain-order contract of
-    {!run_supervised} — workers finish their in-flight item and exit, all
-    domains are joined — before the exception propagates, so a failing
-    item never wedges the pool. *)
-
-val map : jobs:int -> (int -> 'a) -> int -> 'a array
-(** [map ~jobs f n] is [[| f 0; ...; f (n-1) |]] computed on [jobs]
-    domains. *)
-
-val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list ~jobs f xs] is [List.map f xs] computed on [jobs] domains. *)

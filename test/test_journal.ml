@@ -265,93 +265,12 @@ let test_retry_majority_vote_disagreement () =
   let o = Retry.execute (Retry.make ~max_attempts:2 ~confirm:2 ()) run in
   Alcotest.(check bool) "tie downgrades" true (o.Retry.verdict = Executor.Inconclusive)
 
-let test_retry_exponential_budget () =
-  (* Attempts cost 1, 2, 4, ...: a budget of 3 admits exactly 2 attempts
-     however large max_attempts is. *)
-  let run, calls = scripted [ Executor.Inconclusive ] in
-  let o = Retry.execute (Retry.make ~max_attempts:100 ~attempt_budget:3 ()) run in
-  Alcotest.(check Alcotest.int) "budget admits two attempts" 2 !calls;
-  Alcotest.(check bool) "still inconclusive" true (o.Retry.verdict = Executor.Inconclusive)
-
 let test_retry_rejects_bad_policy () =
   Alcotest.(check bool) "max_attempts >= 1" true
     (try
        ignore (Retry.make ~max_attempts:0 ());
        false
      with Invalid_argument _ -> true)
-
-(* ---- escalating backoff ---- *)
-
-let test_backoff_escalates_and_caps () =
-  (* Without jitter the schedule is exactly geometric up to the cap. *)
-  let b = Retry.backoff ~base_delay:0.1 ~multiplier:2.0 ~max_delay:0.5 ~jitter:0.0 () in
-  let sched = Retry.backoff_schedule b ~seed:1L ~attempts:5 in
-  List.iter2
-    (fun expected got -> Alcotest.(check (Alcotest.float 1e-9)) "delay" expected got)
-    [ 0.1; 0.2; 0.4; 0.5; 0.5 ] sched
-
-let test_backoff_execute_spaces_retries () =
-  (* execute sleeps exactly the scheduled delays before each retry, and
-     reports their sum. *)
-  let slept = ref [] in
-  let b = Retry.backoff ~base_delay:0.01 ~jitter:0.25 () in
-  let policy = Retry.make ~max_attempts:4 ~backoff:b () in
-  let run ~attempt:_ = (Executor.Inconclusive, 0) in
-  let o = Retry.execute ~seed:5L ~sleep:(fun d -> slept := d :: !slept) policy run in
-  Alcotest.(check Alcotest.int) "three retries slept" 3 (List.length !slept);
-  Alcotest.(check bool) "slept the scheduled delays" true
-    (List.rev !slept = Retry.backoff_schedule b ~seed:5L ~attempts:3);
-  Alcotest.(check (Alcotest.float 1e-9))
-    "sum reported" (List.fold_left ( +. ) 0.0 !slept)
-    o.Retry.backoff_seconds;
-  (* No backoff configured: never sleeps (the historical behaviour). *)
-  let slept = ref 0 in
-  let o =
-    Retry.execute ~sleep:(fun _ -> incr slept) (Retry.make ~max_attempts:4 ()) run
-  in
-  Alcotest.(check Alcotest.int) "no backoff, no sleep" 0 !slept;
-  Alcotest.(check (Alcotest.float 1e-9)) "zero seconds" 0.0 o.Retry.backoff_seconds
-
-let test_backoff_rejects_bad_fields () =
-  List.iter
-    (fun mk ->
-      Alcotest.(check bool) "rejected" true
-        (try
-           ignore (mk ());
-           false
-         with Invalid_argument _ -> true))
-    [
-      (fun () -> Retry.backoff ~base_delay:(-0.1) ());
-      (fun () -> Retry.backoff ~multiplier:0.5 ());
-      (fun () -> Retry.backoff ~jitter:1.5 ());
-      (fun () -> Retry.backoff ~max_delay:(-1.0) ());
-    ]
-
-let prop_backoff_reproducible =
-  (* The satellite's pinned property: the jittered schedule is a pure
-     function of (backoff, seed, attempt) — same seed, same schedule —
-     and every delay stays within (0, max_delay]. *)
-  QCheck.Test.make ~name:"backoff schedule reproducible and bounded" ~count:200
-    QCheck.(pair int64 (int_range 1 20))
-    (fun (seed, attempts) ->
-      let b = Retry.backoff ~base_delay:0.05 ~max_delay:2.0 ~jitter:0.25 () in
-      let s1 = Retry.backoff_schedule b ~seed ~attempts in
-      let s2 = Retry.backoff_schedule b ~seed ~attempts in
-      s1 = s2
-      && List.length s1 = attempts
-      && List.for_all (fun d -> d > 0.0 && d <= 2.0) s1)
-
-let prop_backoff_seed_sensitivity =
-  QCheck.Test.make ~name:"backoff jitter varies with seed" ~count:50
-    QCheck.(pair int64 int64)
-    (fun (s1, s2) ->
-      QCheck.assume (s1 <> s2);
-      let b = Retry.backoff ~jitter:0.25 () in
-      (* Some delay in a longish schedule differs (jitter draws are keyed
-         on the seed); identical schedules for different seeds would mean
-         the seed is ignored. *)
-      Retry.backoff_schedule b ~seed:s1 ~attempts:16
-      <> Retry.backoff_schedule b ~seed:s2 ~attempts:16)
 
 (* ---- fault injection ---- *)
 
@@ -551,17 +470,7 @@ let () =
           Alcotest.test_case "persistent noise downgrades" `Quick
             test_retry_persistent_noise_downgrades;
           Alcotest.test_case "majority vote" `Quick test_retry_majority_vote_disagreement;
-          Alcotest.test_case "exponential budget" `Quick test_retry_exponential_budget;
           Alcotest.test_case "rejects bad policy" `Quick test_retry_rejects_bad_policy;
-        ] );
-      ( "backoff",
-        [
-          Alcotest.test_case "escalates and caps" `Quick test_backoff_escalates_and_caps;
-          Alcotest.test_case "execute spaces retries" `Quick
-            test_backoff_execute_spaces_retries;
-          Alcotest.test_case "rejects bad fields" `Quick test_backoff_rejects_bad_fields;
-          QCheck_alcotest.to_alcotest prop_backoff_reproducible;
-          QCheck_alcotest.to_alcotest prop_backoff_seed_sensitivity;
         ] );
       ( "faults",
         [

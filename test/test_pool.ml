@@ -24,55 +24,44 @@ let temp_path name =
 
 (* ---- pool ---- *)
 
+(* [(i, worker i)] for every index, in the order the consumer saw them. *)
+let consumed ~jobs ~tasks worker =
+  let order = ref [] in
+  Pool.run_supervised ~jobs ~tasks ~worker
+    ~consume:(fun i -> function
+      | Ok v -> order := (i, v) :: !order
+      | Error { Pool.exn; _ } -> raise exn)
+    ();
+  List.rev !order
+
 let test_pool_ordering_adversarial () =
   (* Workers finish in roughly reverse index order (later items are much
      faster), yet the consumer must still see results in index order. *)
   let tasks = 12 in
-  let order = ref [] in
-  Pool.run_ordered ~jobs:4 ~tasks
-    ~worker:(fun i ->
-      Unix.sleepf (0.002 *. float_of_int (tasks - i));
-      i * i)
-    ~consume:(fun i v -> order := (i, v) :: !order);
+  let order =
+    consumed ~jobs:4 ~tasks (fun i ->
+        Unix.sleepf (0.002 *. float_of_int (tasks - i));
+        i * i)
+  in
   let expected = List.init tasks (fun i -> (i, i * i)) in
-  Alcotest.(check bool) "consumed in index order" true (List.rev !order = expected)
+  Alcotest.(check bool) "consumed in index order" true (order = expected)
 
 let test_pool_sequential_matches_parallel () =
   let f i = (i * 37) lxor (i lsl 3) in
   Alcotest.(check bool)
-    "map jobs=1 = jobs=4" true
-    (Pool.map ~jobs:1 f 50 = Pool.map ~jobs:4 f 50);
+    "jobs=1 = jobs=4" true
+    (consumed ~jobs:1 ~tasks:50 f = consumed ~jobs:4 ~tasks:50 f);
   Alcotest.(check bool)
-    "map_list" true
-    (Pool.map_list ~jobs:3 String.uppercase_ascii [ "a"; "b"; "c" ]
+    "jobs=3 over a list" true
+    (List.map snd
+       (consumed ~jobs:3 ~tasks:3 (fun i ->
+            String.uppercase_ascii (List.nth [ "a"; "b"; "c" ] i)))
     = [ "A"; "B"; "C" ])
 
-exception Boom of int
-
-let test_pool_worker_exception () =
-  (* An exception in one worker is re-raised at its index position after
-     all earlier items were consumed, and the pool shuts down cleanly
-     instead of wedging (this test completing at all checks the latter). *)
-  let consumed = ref [] in
-  let raised =
-    try
-      Pool.run_ordered ~jobs:4 ~tasks:10
-        ~worker:(fun i ->
-          if i = 5 then raise (Boom i);
-          i)
-        ~consume:(fun i _ -> consumed := i :: !consumed);
-      None
-    with Boom i -> Some i
-  in
-  Alcotest.(check (Alcotest.option Alcotest.int)) "raised at index 5" (Some 5) raised;
-  Alcotest.(check (Alcotest.list Alcotest.int))
-    "items before the failure were consumed in order" [ 0; 1; 2; 3; 4 ]
-    (List.rev !consumed)
-
 let test_pool_zero_tasks_and_resolve () =
-  Pool.run_ordered ~jobs:4 ~tasks:0
-    ~worker:(fun _ -> Alcotest.fail "no worker should run")
-    ~consume:(fun _ _ -> Alcotest.fail "nothing to consume");
+  Alcotest.(check bool) "zero tasks" true
+    (consumed ~jobs:4 ~tasks:0 (fun _ -> Alcotest.fail "no worker should run")
+    = []);
   Alcotest.(check bool) "0 resolves to all cores" true (Pool.resolve_jobs 0 >= 1);
   Alcotest.(check Alcotest.int) "positive passes through" 3 (Pool.resolve_jobs 3);
   Alcotest.check_raises "negative rejected"
@@ -81,6 +70,7 @@ let test_pool_zero_tasks_and_resolve () =
 
 (* ---- supervised pool ---- *)
 
+exception Boom of int
 exception Crash of int
 
 let run_supervised_collect ~jobs ~tasks ~crashes =
@@ -149,8 +139,8 @@ let test_supervised_nonfatal_keeps_domain () =
   Alcotest.(check Alcotest.int) "no restarts (default fatal)" 0 !restarts
 
 let test_supervised_backtrace_preserved () =
-  (* run_ordered re-raises worker failures with the original backtrace;
-     the Error cell carries it for callers that want to log it. *)
+  (* The Error cell carries the worker's original backtrace for callers
+     that want to log or re-raise it. *)
   let saw_backtrace = ref false in
   Pool.run_supervised ~jobs:1 ~tasks:1
     ~worker:(fun _ -> raise (Crash 0))
@@ -462,8 +452,6 @@ let () =
             test_pool_ordering_adversarial;
           Alcotest.test_case "parallel matches sequential" `Quick
             test_pool_sequential_matches_parallel;
-          Alcotest.test_case "worker exception doesn't wedge" `Quick
-            test_pool_worker_exception;
           Alcotest.test_case "zero tasks and resolve_jobs" `Quick
             test_pool_zero_tasks_and_resolve;
         ] );
