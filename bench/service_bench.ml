@@ -15,6 +15,8 @@
    - a SIGKILLed --concurrency 2 server with two campaigns mid-flight
      must, after restart from its state directory, finish both and leave
      journals + streams indistinguishable from uninterrupted runs;
+   - a finished campaign's stream, re-read once it has left the session
+     table and again after a restart, is the live stream byte for byte;
    - quota rejections surface as HTTP 429, cancellation as a terminal
      "cancelled" stream, and /metrics as a Prometheus dump.
 
@@ -222,8 +224,7 @@ let batch_reference s ~seed =
   Sys.remove path;
   (bytes, List.map Session.record_line (Journal.events journal))
 
-let check_stream_matches_batch ~what ~state_dir ~port id s ~seed =
-  let lines = stream ~port id in
+let check_stream_matches_batch ~what ~state_dir id s ~seed lines =
   let bytes, expected = batch_reference s ~seed in
   if record_lines lines <> expected then
     fail "%s: streamed records differ from batch run" what;
@@ -236,6 +237,12 @@ let check_stream_matches_batch ~what ~state_dir ~port id s ~seed =
     fail "%s: server journal differs from batch journal" what;
   Printf.printf "OK: %s byte-identical to batch (%d records)\n%!" what
     (List.length expected)
+
+(* A finished campaign's stream, read again now, must be the bytes that
+   were streamed live: progress and done lines included. *)
+let check_reread ~what ~port id live =
+  if stream ~port id <> live then fail "%s: re-read stream differs from the live one" what;
+  Printf.printf "OK: %s re-read stream identical to the live one\n%!" what
 
 let temp_dir prefix =
   let d = Filename.temp_file prefix "" in
@@ -282,10 +289,14 @@ let smoke_two_tenants () =
   let ta = reader 0 id_a and tb = reader 1 id_b in
   Thread.join ta;
   Thread.join tb;
-  check_stream_matches_batch ~what:"tenant alice campaign" ~state_dir:dir ~port
-    id_a spec_alice ~seed:2021L;
-  check_stream_matches_batch ~what:"tenant bob campaign" ~state_dir:dir ~port
-    id_b spec_bob ~seed:7L;
+  check_stream_matches_batch ~what:"tenant alice campaign" ~state_dir:dir
+    id_a spec_alice ~seed:2021L results.(0);
+  check_stream_matches_batch ~what:"tenant bob campaign" ~state_dir:dir
+    id_b spec_bob ~seed:7L results.(1);
+  (* Both campaigns are finished and out of the session table: the
+     re-reads come from the state directory. *)
+  check_reread ~what:"tenant alice campaign" ~port id_a results.(0);
+  check_reread ~what:"tenant bob campaign" ~port id_b results.(1);
   (* Status and listing. *)
   let st = request ~port ~meth:"GET" ~path:("/campaigns/" ^ id_a) () in
   if st.status <> 200 then fail "status: %d" st.status;
@@ -517,19 +528,40 @@ let kill_resume () =
      re-enqueue both interrupted campaigns and finish them.  The restart
      also runs at --concurrency 2, so recovered sessions land back on
      derived runner slots. *)
-  let scd =
-    Scheduler.create ~config:(scheduler_config ~state_dir:dir ~concurrency:2 ()) ()
+  let restart () =
+    let scd =
+      Scheduler.create ~config:(scheduler_config ~state_dir:dir ~concurrency:2 ()) ()
+    in
+    (scd, start_server scd)
   in
-  let srv = start_server scd in
+  let scd, srv = restart () in
   let port = Server.port srv in
+  let campaigns = [ (id_carol, spec_carol); (id_dave, spec_dave) ] in
+  (* Stream while the recovered campaigns run, so these are live reads. *)
+  let live = List.map (fun (id, _) -> (id, ref [])) campaigns in
+  let readers =
+    List.map (fun (id, lines) -> Thread.create (fun () -> lines := stream ~port id) ()) live
+  in
   Scheduler.drain scd;
+  List.iter Thread.join readers;
   List.iter
     (fun (id, s) ->
+      let what = Printf.sprintf "kill+resume campaign (%s)" s.tenant in
       let seed = Tenant.derive_seed ~tenant:s.tenant ~sequence:0 in
-      check_stream_matches_batch
-        ~what:(Printf.sprintf "kill+resume campaign (%s)" s.tenant)
-        ~state_dir:dir ~port id s ~seed)
-    [ (id_carol, spec_carol); (id_dave, spec_dave) ];
+      let lines = !(List.assoc id live) in
+      check_stream_matches_batch ~what ~state_dir:dir id s ~seed lines;
+      check_reread ~what ~port id lines)
+    campaigns;
+  Server.stop srv;
+  Scheduler.shutdown scd;
+  (* One more restart: finished campaigns now come back from disk only. *)
+  let scd, srv = restart () in
+  List.iter
+    (fun (id, s) ->
+      check_reread
+        ~what:(Printf.sprintf "kill+resume campaign (%s) after restart" s.tenant)
+        ~port:(Server.port srv) id !(List.assoc id live))
+    campaigns;
   Server.stop srv;
   Scheduler.shutdown scd
 

@@ -216,6 +216,17 @@ let verdict_counts t =
    streamed campaign is byte-identical to a batch run by comparing these
    strings directly. *)
 
+let as_stored = function
+  | Experiment e ->
+    let round x = float_of_string (Printf.sprintf "%.6f" x) in
+    Experiment
+      {
+        e with
+        generation_seconds = round e.generation_seconds;
+        execution_seconds = round e.execution_seconds;
+      }
+  | ev -> ev
+
 let event_to_json ev =
   let module J = Scamv_util.Json in
   match ev with

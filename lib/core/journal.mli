@@ -106,6 +106,13 @@ val event_to_json : event -> Scamv_util.Json.t
     a pure function of the event, so a server-streamed campaign can be
     checked byte-for-byte against a batch run's journal. *)
 
+val as_stored : event -> event
+(** The event as the on-disk journal keeps it: both timings rounded to
+    the microsecond exactly as the CSV row prints them ([%.6f]), the
+    only lossy column.  Idempotent, and the identity on every event
+    {!load} returns, so a stream rendered from [as_stored] events is the
+    same whether it was produced live or read back from disk. *)
+
 val to_csv : t -> string
 (** v1 snapshot: header plus one CSV row per event; fields are
     comma-separated, free-form strings (campaign, template, reason)

@@ -22,8 +22,9 @@ type config = {
       (** runner slots = pool slices = campaigns that may execute at
           once (>= 1) *)
   state_dir : string option;
-      (** where [<id>.journal] / [<id>.meta.json] live; [None] = no
-          persistence (campaigns are lost on restart) *)
+      (** where [<id>.journal] / [<id>.meta.json] live, and the only copy
+          of a finished campaign; [None] = no persistence (campaigns are
+          lost on restart, and every session stays in memory) *)
   quota : Tenant.quota;  (** applied to every tenant *)
   clock : Scamv_util.Stopwatch.clock;
       (** campaign time source; {!Scamv_util.Stopwatch.frozen} makes all
@@ -43,10 +44,11 @@ type t
 
 val create : ?config:config -> ?start:bool -> unit -> t
 (** Build a scheduler; when [config.state_dir] is set, recover previously
-    persisted sessions first (terminal sessions get their stream lines
-    rebuilt from the journal; unfinished ones are re-enqueued in original
-    submission order with the journal as a resume checkpoint, their slots
-    re-derived for the current concurrency).  [start = false] skips the
+    persisted sessions first: every meta restores its tenant's sequence
+    mark, and unfinished sessions are re-enqueued in original submission
+    order with the journal as a resume checkpoint, their slots re-derived
+    for the current concurrency.  Finished sessions stay on disk until
+    {!find} or {!list} reads them.  [start = false] skips the
     runner threads — admission-control unit tests use this to exercise
     queues without running campaigns.
     @raise Invalid_argument when [config.concurrency < 1]. *)
@@ -61,8 +63,14 @@ val submit :
     meta and enqueue. *)
 
 val find : t -> string -> Session.t option
+(** A queued or running session from memory; otherwise, with a state
+    dir, a finished one rebuilt from [<id>.meta.json] and the journal —
+    stream, status and summary byte-identical to the live session's.
+    Only ids of the form [<tenant>-<digits>] ever reach the disk. *)
+
 val list : t -> Session.t list
-(** All known sessions in submission order. *)
+(** All known sessions in submission order: the live ones and, with a
+    state dir, every finished one read back from disk. *)
 
 val cancel : t -> Session.t -> bool
 (** Queued sessions cancel immediately; a running one gets its cancel

@@ -257,6 +257,10 @@ let accept_loop t listener =
   let rec loop () =
     match Unix.accept ~cloexec:true listener with
     | fd, _ ->
+      (* Responses are written as a few small segments (head, body,
+         chunks); with Nagle on, each request would wait out the
+         client's delayed ACK before the last one leaves. *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
       if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
       else begin
         let overloaded =

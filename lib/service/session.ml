@@ -189,6 +189,8 @@ type t = {
       (** journal to replay before running (set by server [--resume]) *)
   mutable lines : string array;
   mutable nlines : int;
+  mutable progress : (int * string) list;
+      (** progress messages with their stream positions, newest first *)
   mutable stats : Json.t option;
   mutable wall_seconds : float;
 }
@@ -213,6 +215,7 @@ let create ~id ~tenant ~params ~seed ~campaign_name ?journal_path ?meta_path
     resume_from = None;
     lines = Array.make 64 "";
     nlines = 0;
+    progress = [];
     stats = None;
     wall_seconds = 0.0;
   }
@@ -233,6 +236,20 @@ let push_line_unlocked t line =
 let push_line t line =
   locked t (fun () ->
       push_line_unlocked t line;
+      Condition.broadcast t.changed)
+
+let progress_line message =
+  Json.to_string (Json.Obj [ ("progress", Json.Str message) ])
+
+(* Progress lines are not in the journal, so the session remembers where
+   each one sits; the final meta persists them (see [meta_json]). *)
+let push_progress_unlocked t message =
+  t.progress <- (t.nlines, message) :: t.progress;
+  push_line_unlocked t (progress_line message)
+
+let push_progress t message =
+  locked t (fun () ->
+      push_progress_unlocked t message;
       Condition.broadcast t.changed)
 
 let set_state t state =
@@ -293,10 +310,9 @@ let summary_json t =
         ])
 
 let record_line event =
-  Json.to_string (Json.Obj [ ("record", Scamv.Journal.event_to_json event) ])
-
-let progress_line message =
-  Json.to_string (Json.Obj [ ("progress", Json.Str message) ])
+  let module Journal = Scamv.Journal in
+  Json.to_string
+    (Json.Obj [ ("record", Journal.event_to_json (Journal.as_stored event)) ])
 
 let done_line_unlocked t =
   Json.to_string
@@ -309,6 +325,23 @@ let done_line_unlocked t =
        match t.stats with
        | None -> []
        | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ]))
+
+(* Rebuild a finished session's stream from what the state dir keeps:
+   the journal's events, with each persisted progress message put back at
+   its recorded position. *)
+let replay t ~events ~progress =
+  locked t (fun () ->
+      let rec go events progress =
+        match (progress, events) with
+        | (at, message) :: rest, _ when at <= t.nlines || events = [] ->
+          push_progress_unlocked t message;
+          go events rest
+        | _, ev :: evs ->
+          push_line_unlocked t (record_line ev);
+          go evs progress
+        | _, [] -> ()
+      in
+      go events progress)
 
 (* Entering a terminal state and appending the final "done" NDJSON line
    happen in one critical section: a streamer that observes a terminal
@@ -340,7 +373,21 @@ let meta_json t =
           | _ -> [])
         @ (match t.stats with
           | None -> []
-          | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ])))
+          | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ])
+        (* written only when there are progress lines, so metas of
+           campaigns without any keep their historical bytes *)
+        @
+        match t.progress with
+        | [] -> []
+        | progress ->
+          [
+            ( "progress",
+              Json.Arr
+                (List.rev_map
+                   (fun (at, message) ->
+                     Json.Arr [ Json.Num (float_of_int at); Json.Str message ])
+                   progress) );
+          ]))
 
 type meta = {
   meta_id : string;
@@ -351,6 +398,7 @@ type meta = {
   meta_params : params;  (** seed always resolved ([Some _]) *)
   meta_stats : Json.t option;
   meta_wall_seconds : float;
+  meta_progress : (int * string) list;
 }
 
 let meta_of_json json =
@@ -384,6 +432,23 @@ let meta_of_json json =
   let meta_wall_seconds =
     match Json.member "wall_seconds" json with Some (Json.Num f) -> f | _ -> 0.0
   in
+  let* meta_progress =
+    let entry = function
+      | Json.Arr [ at; Json.Str message ] ->
+        Result.map (fun at -> (at, message)) (int_field "progress position" at)
+      | _ -> Error "meta field progress must hold [position, message] pairs"
+    in
+    match Json.member "progress" json with
+    | None -> Ok []
+    | Some (Json.Arr entries) ->
+      List.fold_right
+        (fun e acc ->
+          let* e = entry e in
+          let* acc = acc in
+          Ok (e :: acc))
+        entries (Ok [])
+    | Some _ -> Error "meta field progress must be an array"
+  in
   Ok
     {
       meta_id;
@@ -394,4 +459,5 @@ let meta_of_json json =
       meta_params;
       meta_stats;
       meta_wall_seconds;
+      meta_progress;
     }

@@ -74,6 +74,10 @@ type t = {
   mutable resume_from : string option;
   mutable lines : string array;
   mutable nlines : int;
+  mutable progress : (int * string) list;
+      (** progress messages with their stream positions, newest first;
+          persisted by {!meta_json} because the journal does not keep
+          them *)
   mutable stats : Scamv_util.Json.t option;
   mutable wall_seconds : float;
 }
@@ -93,6 +97,18 @@ val create :
 
 val push_line : t -> string -> unit
 (** Append one NDJSON line (without terminator) and wake all waiters. *)
+
+val push_progress : t -> string -> unit
+(** Append a [{"progress":"..."}] line (a campaign progress event) and
+    remember its stream position.  Progress lines are auxiliary — a
+    resumed campaign emits an extra resume notice — so batch byte-identity
+    checks compare record lines only. *)
+
+val replay : t -> events:Scamv.Journal.event list -> progress:(int * string) list -> unit
+(** Rebuild a finished session's stream from its journal events and its
+    persisted [(position, message)] progress lines (oldest first), so the
+    lines equal the ones the live session streamed.  Call before
+    {!conclude}. *)
 
 val set_state : t -> state -> unit
 
@@ -124,20 +140,19 @@ val summary_json : t -> Scamv_util.Json.t
 (** One element of the [GET /campaigns] listing. *)
 
 val record_line : Scamv.Journal.event -> string
-(** [{"record":<event>}] — a pure function of the journal event, so the
-    streamed sequence can be diffed byte-for-byte against a batch run's
-    journal. *)
-
-val progress_line : string -> string
-(** [{"progress":"..."}] — campaign progress events.  Auxiliary: resumed
-    campaigns emit an extra resume notice, so these lines are excluded
-    from byte-identity checks. *)
+(** [{"record":<event>}] — a pure function of the journal event as the
+    journal stores it ({!Scamv.Journal.as_stored}: timings rounded to the
+    microsecond), so the streamed sequence can be diffed byte-for-byte
+    against a batch run's journal, and a stream read live, after the
+    session left memory or after a restart is the same bytes. *)
 
 (** {2 Meta persistence} *)
 
 val meta_json : t -> Scamv_util.Json.t
-(** The sidecar [<id>.meta.json] record the server's [--resume] scan
-    reads: identity, resolved params, current/terminal state, stats. *)
+(** The sidecar [<id>.meta.json] record: identity, resolved params,
+    current/terminal state, stats, and — only when there are any — the
+    progress lines with their stream positions.  A finished session's
+    meta plus its journal is all the server keeps of it. *)
 
 type meta = {
   meta_id : string;
@@ -148,6 +163,7 @@ type meta = {
   meta_params : params;  (** seed always resolved ([Some _]) *)
   meta_stats : Scamv_util.Json.t option;
   meta_wall_seconds : float;
+  meta_progress : (int * string) list;  (** oldest first *)
 }
 
 val meta_of_json : Scamv_util.Json.t -> (meta, string) result

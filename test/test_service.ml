@@ -5,7 +5,9 @@
    timeout, request cap, 503 load shedding), and the acceptance tests
    that a served campaign's streamed record sequence and journal are
    byte-identical to a batch Campaign.run of the same parameters — at
-   concurrency 1 and with two campaigns in flight at once. *)
+   concurrency 1 and with two campaigns in flight at once; finished
+   campaigns read back from the state dir (one stream live, evicted and
+   restarted; flat memory; path-safe lookups). *)
 
 module Json = Scamv_util.Json
 module Stopwatch = Scamv_util.Stopwatch
@@ -457,12 +459,98 @@ let test_scheduler_diff_deadline () =
   Alcotest.(check bool) "a program crashed on its deadline" true
     (List.exists crashed (record_lines_of s))
 
+(* ---- scheduler: finished campaigns read back from the state dir ---- *)
+
+let fresh_dir () =
+  let dir = Filename.temp_file "scamv_service_state" "" in
+  Sys.remove dir;
+  dir
+
+let all_lines s =
+  let lines, _, _ = Session.lines_from s ~from:0 in
+  lines
+
+let status_bytes s = Json.to_string (Session.status_json s)
+
+let submit_ok t ~tenant params =
+  match Scheduler.submit t ~tenant params with
+  | Ok s -> s
+  | Error _ -> Alcotest.fail "submit failed"
+
+let find_ok t id =
+  match Scheduler.find t id with
+  | Some s -> s
+  | None -> Alcotest.fail ("no campaign " ^ id)
+
+(* One stream per campaign: a wall-clock campaign with a progress line
+   reads the same bytes live, after it left the session table, and after
+   a restart — and its status reports the same record count. *)
+let test_scheduler_stream_identity () =
+  let dir = fresh_dir () in
+  let config = { (sched_config ~state_dir:dir ()) with Scheduler.clock = Stopwatch.wall } in
+  let t = Scheduler.create ~config () in
+  let s =
+    submit_ok t ~tenant:"late"
+      { Session.default_params with Session.programs = 2; tests_per_program = 3;
+        seed = Some 2021L }
+  in
+  Scheduler.drain t;
+  let live = all_lines s and live_status = status_bytes s in
+  Alcotest.(check bool) "has a progress line" true
+    (List.exists (String.starts_with ~prefix:"{\"progress\":") live);
+  let check_same what reread =
+    Alcotest.(check (list string)) ("stream " ^ what) live (all_lines reread);
+    Alcotest.(check string) ("status " ^ what) live_status (status_bytes reread);
+    Alcotest.(check (option (float 0.0))) ("records " ^ what)
+      (Some (float_of_int (List.length live)))
+      (Option.bind (Json.member "records" (Session.status_json reread)) Json.to_float)
+  in
+  check_same "after eviction" (find_ok t s.Session.id);
+  Scheduler.shutdown t;
+  let t = Scheduler.create ~config () in
+  check_same "after restart" (find_ok t s.Session.id);
+  Scheduler.shutdown t
+
+(* Server memory stays flat: finished campaigns live in the state dir
+   only, and every one of them still lists and reads back exactly as it
+   concluded. *)
+let test_scheduler_memory_flat () =
+  let t = Scheduler.create ~config:(sched_config ~state_dir:(fresh_dir ()) ()) () in
+  let params =
+    { Session.default_params with Session.template = "D";
+      setup = "mct-vs-mspec-sl"; programs = 1; tests_per_program = 1 }
+  in
+  let run_one () =
+    let s = submit_ok t ~tenant:"flat" params in
+    Scheduler.drain t;
+    let concluded = status_bytes s in
+    let reread = find_ok t s.Session.id in
+    Alcotest.(check bool) "read back from disk" false (reread == s);
+    Alcotest.(check string) "status after eviction" concluded (status_bytes reread)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for _ = 1 to 20 do run_one () done;
+  let before = live_words () in
+  for _ = 1 to 120 do run_one () done;
+  let growth = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew %d (<= 64 per campaign)" growth)
+    true
+    (growth <= 64 * 120);
+  Alcotest.(check int) "list keeps every campaign" 140 (List.length (Scheduler.list t));
+  Scheduler.shutdown t
+
 (* ---- server: wire-level connection management ---- *)
 
-let with_server ?(concurrency = 1) ?(jobs = 1) ?max_connections ?idle_timeout
-    ?max_requests ?(start_sched = true) f =
+let with_server ?(concurrency = 1) ?(jobs = 1) ?state_dir ?max_connections
+    ?idle_timeout ?max_requests ?(start_sched = true) f =
   let sched =
-    Scheduler.create ~config:(sched_config ~jobs ~concurrency ()) ~start:start_sched ()
+    Scheduler.create
+      ~config:(sched_config ?state_dir ~jobs ~concurrency ())
+      ~start:start_sched ()
   in
   let server =
     Server.create ~port:0 ?max_connections ?idle_timeout ?max_requests sched
@@ -690,6 +778,55 @@ let test_server_backpressure_503 () =
           (* unblock the parked worker so stop is prompt *)
           ignore (Scheduler.cancel sched s)))
 
+let get_status port path =
+  let fd = connect port in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      send fd (Printf.sprintf "GET %s HTTP/1.1\r\nConnection: close\r\n\r\n" path);
+      let status, _, _ = read_response (Unix.in_channel_of_descr fd) in
+      status)
+
+(* Ids reach the disk-backed lookup percent-decoded from the URL.  A
+   finished campaign planted one level above the state dir, under the id
+   a traversal would build, must stay unreachable. *)
+let test_server_lookup_path_safety () =
+  let root = fresh_dir () in
+  Unix.mkdir root 0o755;
+  let state_dir = Filename.concat root "state" in
+  with_server ~state_dir (fun sched port ->
+      let s =
+        submit_ok sched ~tenant:"safe"
+          { Session.default_params with Session.template = "D";
+            setup = "mct-vs-mspec-sl"; programs = 1; tests_per_program = 1 }
+      in
+      Scheduler.drain sched;
+      let id = s.Session.id in
+      let meta = Json.of_string (read_file (Filename.concat state_dir (id ^ ".meta.json"))) in
+      let planted =
+        match meta with
+        | Json.Obj fields ->
+          Json.Obj
+            (List.map
+               (function "id", _ -> ("id", Json.Str "../outside-0") | kv -> kv)
+               fields)
+        | _ -> Alcotest.fail "meta is not an object"
+      in
+      Out_channel.with_open_bin (Filename.concat root "outside-0.meta.json") (fun oc ->
+          output_string oc (Json.to_string planted));
+      Out_channel.with_open_bin (Filename.concat root "outside-0.journal") (fun oc ->
+          output_string oc (read_file (Filename.concat state_dir (id ^ ".journal"))));
+      Alcotest.(check int) "finished stream served from disk" 200
+        (get_status port ("/campaigns/" ^ id ^ "/stream"));
+      Alcotest.(check int) "dot-dot id" 404 (get_status port "/campaigns/%2E%2E/stream");
+      Alcotest.(check int) "NUL in id" 404
+        (get_status port ("/campaigns/" ^ id ^ "%00/stream"));
+      List.iter
+        (fun bad ->
+          Alcotest.(check bool) (Printf.sprintf "find %S" bad) true
+            (Scheduler.find sched bad = None))
+        [ "../outside-0"; id ^ "\000"; ".."; id ^ "x"; "-0"; "safe-" ])
+
 let () =
   Alcotest.run "scamv_service"
     [
@@ -730,6 +867,10 @@ let () =
             test_scheduler_concurrent_matches_batch;
           Alcotest.test_case "diff campaign honours its deadline" `Quick
             test_scheduler_diff_deadline;
+          Alcotest.test_case "one stream live, evicted and restarted" `Quick
+            test_scheduler_stream_identity;
+          Alcotest.test_case "finished campaigns keep memory flat" `Quick
+            test_scheduler_memory_flat;
         ] );
       ( "server",
         [
@@ -745,5 +886,7 @@ let () =
             test_server_malformed_second_request;
           Alcotest.test_case "accept queue sheds with 503" `Quick
             test_server_backpressure_503;
+          Alcotest.test_case "disk lookups stay inside the state dir" `Quick
+            test_server_lookup_path_safety;
         ] );
     ]
