@@ -921,8 +921,6 @@ let check_identical ~what (csv_a, (oa : Campaign.outcome), ev_a)
     (csv_b, (ob : Campaign.outcome), ev_b) =
   if csv_a <> csv_b then chaos_fail "%s: journals differ across --jobs" what;
   if ev_a <> ev_b then chaos_fail "%s: progress logs differ across --jobs" what;
-  (* Stdlib.compare, not (=): an all-crashed run has zero experiments and
-     its Summary min/max fields are nan, which (=) never equates. *)
   if Stdlib.compare oa.Campaign.stats ob.Campaign.stats <> 0 then begin
     Format.eprintf "--jobs A stats:@.%a@.--jobs B stats:@.%a@." Stats.pp
       oa.Campaign.stats Stats.pp ob.Campaign.stats;

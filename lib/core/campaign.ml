@@ -79,7 +79,7 @@ type outcome = {
    interrupted run would have produced, and the final statistics match an
    uninterrupted campaign. *)
 
-let load_checkpoint path =
+let load_checkpoint ~programs path =
   if not (Sys.file_exists path) then (0, [], None)
   else begin
     (* Tolerant load: a SIGKILLed campaign can leave a torn or
@@ -89,7 +89,8 @@ let load_checkpoint path =
     let j, recovery = Journal.load ~path in
     let events = Journal.events j in
     let restart =
-      List.fold_left (fun m ev -> max m (Journal.event_program_index ev)) (-1) events
+      min programs
+        (List.fold_left (fun m ev -> max m (Journal.event_program_index ev)) (-1) events)
     in
     if restart < 0 then (0, [], Some recovery)
     else
@@ -98,24 +99,28 @@ let load_checkpoint path =
         Some recovery )
   end
 
-let replay stats journal watch ~on_record events =
-  List.iter
-    (fun ev ->
-      Option.iter (fun j -> Journal.record_event j ev) journal;
-      on_record ev;
-      match ev with
-      | Journal.Experiment e ->
-        stats :=
-          Stats.record_experiment !stats ~verdict:e.Journal.verdict
-            ~retries:e.Journal.retries ~faults:e.Journal.faults
-            ~gen_seconds:e.Journal.generation_seconds
-            ~exe_seconds:e.Journal.execution_seconds
-            ~elapsed:(Stopwatch.elapsed_s watch) ()
-      | Journal.Quarantined _ -> stats := Stats.record_quarantine !stats
-      | Journal.Program_failed _ -> stats := Stats.record_skipped_program !stats
-      | Journal.Crashed _ -> stats := Stats.record_crashed_program !stats
-      | Journal.Diverged _ -> stats := Stats.record_divergence !stats)
-    events
+(* Replayed programs go through the same journal, [on_record] and
+   statistics path as live ones, minus the progress messages.  The events
+   are in program order, so each program's events are a run at the head
+   of the list; a program with no events still counts. *)
+let replay ~journal ~on_record ~watch ~stats ~programs events =
+  let rec split i acc = function
+    | ev :: rest when Journal.event_program_index ev = i -> split i (ev :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  let rec go i events =
+    if i < programs then begin
+      let mine, rest = split i [] events in
+      List.iter
+        (fun ev ->
+          Option.iter (fun j -> Journal.record_event j ev) journal;
+          on_record ev)
+        mine;
+      stats := Stats.add_program ~elapsed:(Stopwatch.elapsed_s watch) !stats mine;
+      go (i + 1) rest
+    end
+  in
+  go 0 events
 
 (* ---- per-program pipeline (worker side) ----
 
@@ -290,51 +295,41 @@ let run_program cfg pipeline_cfg ~program_index program_rng :
 
 let merge_program cfg ~on_event ~on_record ~journal ~watch ~stats ~program_index
     events =
-  let found = ref false in
+  let elapsed = Stopwatch.elapsed_s watch in
+  let first_counterexample = ref ((!stats).Stats.counterexamples = 0) in
   List.iter
     (fun ev ->
       Option.iter (fun j -> Journal.record_event j ev) journal;
       on_record ev;
       match ev with
       | Journal.Experiment e ->
-        let verdict = e.Journal.verdict in
-        let was_first =
-          verdict = Executor.Distinguishable && (!stats).Stats.counterexamples = 0
-        in
-        let elapsed = Stopwatch.elapsed_s watch in
-        stats :=
-          Stats.record_experiment !stats ~verdict ~retries:e.Journal.retries
-            ~faults:e.Journal.faults ~gen_seconds:e.Journal.generation_seconds
-            ~exe_seconds:e.Journal.execution_seconds ~elapsed ();
-        if verdict = Executor.Distinguishable then found := true;
-        if was_first then
+        if !first_counterexample && e.Journal.verdict = Executor.Distinguishable
+        then begin
+          first_counterexample := false;
           on_event
             (Printf.sprintf
                "[%s] first counterexample after %.2fs (program %d, test %d)"
                cfg.name elapsed program_index e.Journal.test_index)
+        end
       | Journal.Quarantined { pair; reason; _ } ->
-        stats := Stats.record_quarantine !stats;
         on_event
           (Printf.sprintf "[%s] program %d: quarantined path pair (%d,%d): %s"
              cfg.name program_index (fst pair) (snd pair) reason)
       | Journal.Program_failed { reason; _ } ->
-        stats := Stats.record_skipped_program !stats;
         on_event
           (Printf.sprintf "[%s] program %d failed: %s" cfg.name program_index reason)
       | Journal.Crashed { reason; _ } ->
-        stats := Stats.record_crashed_program !stats;
         on_event
           (Printf.sprintf "[%s] program %d crashed: %s" cfg.name program_index
              reason)
       | Journal.Diverged { pair; aarch64; riscv; _ } ->
-        stats := Stats.record_divergence !stats;
         on_event
           (Printf.sprintf
              "[%s] program %d: cross-ISA divergence on path pair (%d,%d): aarch64=%s riscv=%s"
              cfg.name program_index (fst pair) (snd pair)
              (Journal.verdict_string aarch64) (Journal.verdict_string riscv)))
     events;
-  stats := Stats.record_program !stats ~found_counterexample:!found;
+  stats := Stats.add_program ~elapsed !stats events;
   if (program_index + 1) mod 25 = 0 then
     on_event
       (Printf.sprintf "[%s] %d/%d programs, %d experiments, %d counterexamples"
@@ -376,7 +371,7 @@ let run ?(on_event = fun _ -> ()) ?(on_record = fun (_ : Journal.event) -> ())
   let start_index, replayed, recovery =
     match resume with
     | None -> (0, [], None)
-    | Some path -> load_checkpoint path
+    | Some path -> load_checkpoint ~programs:cfg.programs path
   in
   (match recovery with
   | Some { Journal.records; dropped_bytes } when dropped_bytes > 0 ->
@@ -385,20 +380,8 @@ let run ?(on_event = fun _ -> ()) ?(on_record = fun (_ : Journal.event) -> ())
          "[%s] resume journal had a damaged tail: kept %d clean record(s), dropped %d byte(s)"
          cfg.name records dropped_bytes)
   | _ -> ());
-  let start_index = min start_index cfg.programs in
   if start_index > 0 then begin
-    replay stats journal watch ~on_record replayed;
-    for i = 0 to start_index - 1 do
-      let found =
-        List.exists
-          (function
-            | Journal.Experiment e ->
-              e.Journal.program_index = i && e.Journal.verdict = Executor.Distinguishable
-            | _ -> false)
-          replayed
-      in
-      stats := Stats.record_program !stats ~found_counterexample:found
-    done;
+    replay ~journal ~on_record ~watch ~stats ~programs:start_index replayed;
     on_event
       (Printf.sprintf "[%s] resumed at program %d (%d events replayed)" cfg.name
          start_index (List.length replayed))

@@ -137,7 +137,8 @@ val run :
 
     [jobs] (default [1]) is the number of worker domains running program
     pipelines concurrently; [0] means all cores
-    ({!Scamv_util.Pool.default_jobs}).  Each program consumes a dedicated
+    ([Domain.recommended_domain_count ()], see
+    {!Scamv_util.Pool.resolve_jobs}).  Each program consumes a dedicated
     RNG stream split off the campaign seed in program order, and completed
     programs are merged in program order on the calling domain, so journal
     contents, checkpoint prefixes, final statistics and the sequence of

@@ -109,8 +109,7 @@ let run ?(on_event = fun _ -> ()) ?(on_record = fun (_ : Journal.event) -> ())
   Tm.add "diff.unmatched_pairs" unmatched_pairs;
   Tm.add "diff.divergences" (List.length divergences);
   let stats =
-    List.fold_left
-      (fun s _ -> Stats.record_divergence s)
+    List.fold_left (Stats.add_event ~elapsed:0.)
       (Stats.merge a_outcome.Campaign.stats r_outcome.Campaign.stats)
       divergences
   in

@@ -191,22 +191,7 @@ let close t =
 
 let events t = List.rev t.events_rev
 
-let entries t =
-  List.filter_map (function Experiment e -> Some e | _ -> None) (events t)
-
 let length t = t.count
-
-let counterexamples t =
-  List.filter (fun e -> e.verdict = Executor.Distinguishable) (entries t)
-
-let verdict_counts t =
-  List.fold_left
-    (fun (d, i, u) e ->
-      match e.verdict with
-      | Executor.Distinguishable -> (d + 1, i, u)
-      | Executor.Indistinguishable -> (d, i + 1, u)
-      | Executor.Inconclusive -> (d, i, u + 1))
-    (0, 0, 0) (entries t)
 
 (* ---- JSON rendering (the service wire format) ----
 
@@ -292,12 +277,6 @@ let to_csv t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf csv_header;
   List.iter (fun ev -> Buffer.add_string buf (event_row ev)) (events t);
-  Buffer.contents buf
-
-let to_journal_string t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (magic ^ "\n");
-  List.iter (fun ev -> Buffer.add_string buf (frame (event_payload ev))) (events t);
   Buffer.contents buf
 
 (* Checkpoints are written atomically: the content lands in a temp file in

@@ -89,16 +89,8 @@ val close : t -> unit
 val events : t -> event list
 (** All events, in recording order. *)
 
-val entries : t -> entry list
-(** Experiment entries only, in recording order. *)
-
 val length : t -> int
 (** Number of experiment entries. *)
-
-val counterexamples : t -> entry list
-
-val verdict_counts : t -> int * int * int
-(** (distinguishable, indistinguishable, inconclusive). *)
 
 val event_to_json : event -> Scamv_util.Json.t
 (** One JSON object per event (fixed field order), the validation
@@ -117,10 +109,6 @@ val to_csv : t -> string
 (** v1 snapshot: header plus one CSV row per event; fields are
     comma-separated, free-form strings (campaign, template, reason)
     quoted. *)
-
-val to_journal_string : t -> string
-(** v2 snapshot: magic line plus one framed, checksummed record per
-    event — the same bytes incremental persistence writes. *)
 
 val write_csv : t -> path:string -> unit
 (** Atomic checkpoint (temp file + rename) of {!to_csv}: a crash mid-write
@@ -146,18 +134,16 @@ type recovery = {
   dropped_bytes : int;  (** torn/corrupt tail bytes dropped (0 = clean) *)
 }
 
-val of_string_tolerant : string -> t * recovery
-(** Tolerant parse: for v2 content, keep the longest clean prefix of
-    framed records and drop the rest — a truncated final record, a flipped
-    checksum byte, or an empty file all yield a usable journal.  The scan
-    stops at the {e first} damaged record (no skipping forward): once one
-    record is suspect nothing after it is trusted, and resume only needs a
-    clean prefix.  v1 content is parsed strictly (it is only ever written
-    atomically, so there is no torn tail to tolerate).
-    @raise Parse_error only for malformed v1 content. *)
-
 val load : path:string -> t * recovery
-(** {!of_string_tolerant} on a file — the [--resume] entry point. *)
+(** Tolerant load, the [--resume] entry point: for v2 content, keep the
+    longest clean prefix of framed records and drop the rest — a
+    truncated final record, a flipped checksum byte, or an empty file all
+    yield a usable journal.  The scan stops at the {e first} damaged
+    record (no skipping forward): once one record is suspect nothing
+    after it is trusted, and resume only needs a clean prefix.  v1
+    content is parsed strictly (it is only ever written atomically, so
+    there is no torn tail to tolerate).
+    @raise Parse_error only for malformed v1 content. *)
 
 val verdict_string : Scamv_microarch.Executor.verdict -> string
 (** The CSV/JSON verdict word: ["distinguishable"] /

@@ -1,4 +1,3 @@
-module Summary = Scamv_util.Summary
 module Executor = Scamv_microarch.Executor
 
 type t = {
@@ -13,8 +12,8 @@ type t = {
   retries : int;
   faults_observed : int;
   divergences : int;
-  generation_time : Summary.t;
-  execution_time : Summary.t;
+  generation_seconds : float;
+  execution_seconds : float;
   time_to_first_counterexample : float option;
 }
 
@@ -31,41 +30,42 @@ let empty =
     retries = 0;
     faults_observed = 0;
     divergences = 0;
-    generation_time = Summary.empty;
-    execution_time = Summary.empty;
+    generation_seconds = 0.;
+    execution_seconds = 0.;
     time_to_first_counterexample = None;
   }
 
-let record_program t ~found_counterexample =
+let add_event ~elapsed t = function
+  | Journal.Experiment e ->
+    let counterexample = e.Journal.verdict = Executor.Distinguishable in
+    {
+      t with
+      experiments = t.experiments + 1;
+      counterexamples = (t.counterexamples + if counterexample then 1 else 0);
+      inconclusive =
+        (t.inconclusive + if e.Journal.verdict = Executor.Inconclusive then 1 else 0);
+      retries = t.retries + e.Journal.retries;
+      faults_observed = t.faults_observed + e.Journal.faults;
+      generation_seconds = t.generation_seconds +. e.Journal.generation_seconds;
+      execution_seconds = t.execution_seconds +. e.Journal.execution_seconds;
+      time_to_first_counterexample =
+        (match t.time_to_first_counterexample with
+        | None when counterexample -> Some elapsed
+        | ttc -> ttc);
+    }
+  | Journal.Quarantined _ -> { t with budget_exceeded = t.budget_exceeded + 1 }
+  | Journal.Program_failed _ -> { t with skipped_programs = t.skipped_programs + 1 }
+  | Journal.Crashed _ -> { t with crashed_programs = t.crashed_programs + 1 }
+  | Journal.Diverged _ -> { t with divergences = t.divergences + 1 }
+
+let add_program ~elapsed t events =
+  let t' = List.fold_left (add_event ~elapsed) t events in
   {
-    t with
-    programs = t.programs + 1;
+    t' with
+    programs = t'.programs + 1;
     programs_with_counterexample =
-      (t.programs_with_counterexample + if found_counterexample then 1 else 0);
-  }
-
-let record_skipped_program t = { t with skipped_programs = t.skipped_programs + 1 }
-let record_crashed_program t = { t with crashed_programs = t.crashed_programs + 1 }
-let record_quarantine t = { t with budget_exceeded = t.budget_exceeded + 1 }
-let record_divergence t = { t with divergences = t.divergences + 1 }
-
-let record_experiment t ~verdict ?(retries = 0) ?(faults = 0) ~gen_seconds
-    ~exe_seconds ~elapsed () =
-  let counterexample = verdict = Executor.Distinguishable in
-  {
-    t with
-    experiments = t.experiments + 1;
-    counterexamples = (t.counterexamples + if counterexample then 1 else 0);
-    inconclusive =
-      (t.inconclusive + if verdict = Executor.Inconclusive then 1 else 0);
-    retries = t.retries + retries;
-    faults_observed = t.faults_observed + faults;
-    generation_time = Summary.add t.generation_time gen_seconds;
-    execution_time = Summary.add t.execution_time exe_seconds;
-    time_to_first_counterexample =
-      (match t.time_to_first_counterexample with
-      | Some _ as ttc -> ttc
-      | None -> if counterexample then Some elapsed else None);
+      (t'.programs_with_counterexample
+      + if t'.counterexamples > t.counterexamples then 1 else 0);
   }
 
 let merge a b =
@@ -82,8 +82,8 @@ let merge a b =
     retries = a.retries + b.retries;
     faults_observed = a.faults_observed + b.faults_observed;
     divergences = a.divergences + b.divergences;
-    generation_time = Summary.merge a.generation_time b.generation_time;
-    execution_time = Summary.merge a.execution_time b.execution_time;
+    generation_seconds = a.generation_seconds +. b.generation_seconds;
+    execution_seconds = a.execution_seconds +. b.execution_seconds;
     time_to_first_counterexample =
       (match (a.time_to_first_counterexample, b.time_to_first_counterexample) with
       | Some x, Some y -> Some (min x y)
@@ -91,47 +91,35 @@ let merge a b =
       | None, None -> None);
   }
 
-let counterexample_rate t =
-  if t.experiments = 0 then 0.0
-  else float_of_int t.counterexamples /. float_of_int t.experiments
+(* Per-experiment means; 0 before the first experiment. *)
+let mean sum t = if t.experiments = 0 then 0. else sum /. float_of_int t.experiments
 
-let header =
+let ttc suffix t =
+  match t.time_to_first_counterexample with
+  | None -> "-"
+  | Some s -> Printf.sprintf "%.2f%s" s suffix
+
+let columns =
+  let int label f = (label, fun t -> string_of_int (f t)) in
+  let seconds label f = (label, fun t -> Printf.sprintf "%.4f" (mean (f t) t)) in
   [
-    "campaign";
-    "programs";
-    "w/count.";
-    "experiments";
-    "counterex.";
-    "inconcl.";
-    "skipped";
-    "crashed";
-    "budget";
-    "retries";
-    "faults";
-    "avg gen (s)";
-    "avg exe (s)";
-    "T.T.C. (s)";
+    int "programs" (fun t -> t.programs);
+    int "w/count." (fun t -> t.programs_with_counterexample);
+    int "experiments" (fun t -> t.experiments);
+    int "counterex." (fun t -> t.counterexamples);
+    int "inconcl." (fun t -> t.inconclusive);
+    int "skipped" (fun t -> t.skipped_programs);
+    int "crashed" (fun t -> t.crashed_programs);
+    int "budget" (fun t -> t.budget_exceeded);
+    int "retries" (fun t -> t.retries);
+    int "faults" (fun t -> t.faults_observed);
+    seconds "avg gen (s)" (fun t -> t.generation_seconds);
+    seconds "avg exe (s)" (fun t -> t.execution_seconds);
+    ("T.T.C. (s)", ttc "");
   ]
 
-let row ~name t =
-  [
-    name;
-    string_of_int t.programs;
-    string_of_int t.programs_with_counterexample;
-    string_of_int t.experiments;
-    string_of_int t.counterexamples;
-    string_of_int t.inconclusive;
-    string_of_int t.skipped_programs;
-    string_of_int t.crashed_programs;
-    string_of_int t.budget_exceeded;
-    string_of_int t.retries;
-    string_of_int t.faults_observed;
-    Printf.sprintf "%.4f" (Summary.mean t.generation_time);
-    Printf.sprintf "%.4f" (Summary.mean t.execution_time);
-    (match t.time_to_first_counterexample with
-    | None -> "-"
-    | Some s -> Printf.sprintf "%.2f" s);
-  ]
+let header = "campaign" :: List.map fst columns
+let row ~name t = name :: List.map (fun (_, render) -> render t) columns
 
 let pp ppf t =
   Format.fprintf ppf
@@ -144,11 +132,9 @@ let pp ppf t =
     t.crashed_programs t.experiments
     t.counterexamples t.inconclusive t.budget_exceeded t.retries
     t.faults_observed
-    (Summary.mean t.generation_time)
-    (Summary.mean t.execution_time)
-    (match t.time_to_first_counterexample with
-    | None -> "-"
-    | Some s -> Printf.sprintf "%.2fs" s)
+    (mean t.generation_seconds t)
+    (mean t.execution_seconds t)
+    (ttc "s" t)
     (if t.divergences > 0 then
        Printf.sprintf "\ncross-ISA divergences: %d" t.divergences
      else "")

@@ -1,4 +1,9 @@
-(** Campaign statistics, mirroring the rows of Table 1 / Fig. 7. *)
+(** Campaign statistics, mirroring the rows of Table 1 / Fig. 7.
+
+    A row is a fold over journal events ({!add_program}): the live
+    campaign, a resumed one replaying its checkpoint, the validation
+    service and a differential campaign all build it from the same
+    events, so their rows agree by construction. *)
 
 type t = {
   programs : int;
@@ -17,53 +22,35 @@ type t = {
   divergences : int;
       (** path pairs where a differential campaign's two ISAs disagreed on
           the verdict (see {!Diff}); always 0 for single-ISA campaigns *)
-  generation_time : Scamv_util.Summary.t;  (** per-test-case synthesis time *)
-  execution_time : Scamv_util.Summary.t;  (** per-experiment run time *)
+  generation_seconds : float;  (** summed per-test-case synthesis time *)
+  execution_seconds : float;  (** summed per-experiment run time *)
   time_to_first_counterexample : float option;  (** wall seconds, None = never *)
 }
 
 val empty : t
 
-val record_program : t -> found_counterexample:bool -> t
+val add_event : elapsed:float -> t -> Journal.event -> t
+(** Count one event.  [elapsed] (seconds on the campaign clock) becomes
+    the time to first counterexample if this is the first one. *)
 
-val record_skipped_program : t -> t
-(** A program whose generation or execution failed and was abandoned
-    (pair this with {!record_program} so [programs] still counts it). *)
-
-val record_crashed_program : t -> t
-(** A program lost to a worker crash or deadline expiry (pair this with
-    {!record_program} so [programs] still counts it). *)
-
-val record_quarantine : t -> t
-(** A path pair dropped because its SAT budget ran out. *)
-
-val record_divergence : t -> t
-(** A cross-ISA verdict divergence found by a differential campaign. *)
-
-val record_experiment :
-  t ->
-  verdict:Scamv_microarch.Executor.verdict ->
-  ?retries:int ->
-  ?faults:int ->
-  gen_seconds:float ->
-  exe_seconds:float ->
-  elapsed:float ->
-  unit ->
-  t
+val add_program : elapsed:float -> t -> Journal.event list -> t
+(** Count one program from its events, in order: {!add_event} on each,
+    then one more program, with a counterexample if its events raised
+    [counterexamples].  A program with no events still counts. *)
 
 val merge : t -> t -> t
-(** Pure merge of two disjoint sub-campaigns' statistics: counts add,
-    timing summaries merge, and the earlier time-to-first-counterexample
-    wins (both operands are assumed to measure elapsed time against the
-    same campaign clock).  [empty] is the identity; merge is associative
-    and commutative, so per-worker statistics buffers can be combined in
-    any grouping. *)
+(** Pure merge of two disjoint sub-campaigns' statistics: counts and
+    time sums add, and the earlier time-to-first-counterexample wins (both
+    operands measure elapsed time against the same campaign clock).
+    [empty] is the identity; merge is associative and commutative up to
+    float rounding of the time sums. *)
 
-val counterexample_rate : t -> float
 val pp : Format.formatter -> t -> unit
 
-val row : name:string -> t -> string list
-(** Table row: name, programs, w/counterexample, experiments,
-    counterexamples, inconclusive, avg gen (s), avg exe (s), TTC (s). *)
-
 val header : string list
+(** Table header: ["campaign"], then one label per {!row} column. *)
+
+val row : name:string -> t -> string list
+(** Table row: [name], then the count columns from programs to faults,
+    the average generation and execution seconds, and the time to first
+    counterexample. *)

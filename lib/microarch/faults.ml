@@ -15,11 +15,6 @@ let config ?(rate = 0.0) ?(seed = 0xFA17L) () =
 
 type kind = Perturbation | Dropped_measurement | Cache_pollution
 
-let kind_name = function
-  | Perturbation -> "perturbation"
-  | Dropped_measurement -> "dropped measurement"
-  | Cache_pollution -> "cache pollution"
-
 type t = {
   cfg : config;
   mutable rng : Splitmix.t;

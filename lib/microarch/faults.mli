@@ -16,8 +16,6 @@ val config : ?rate:float -> ?seed:int64 -> unit -> config
 
 type kind = Perturbation | Dropped_measurement | Cache_pollution
 
-val kind_name : kind -> string
-
 type t
 (** Mutable per-run fault stream. *)
 

@@ -62,9 +62,6 @@ val header : request -> string -> string option
 val query : request -> string -> string option
 (** First query parameter with the given (already-decoded) name. *)
 
-val percent_decode : ?plus_as_space:bool -> string -> string
-(** @raise Bad_request on a truncated or non-hex escape. *)
-
 val wants_keep_alive : request -> bool
 (** The client's connection intent: HTTP/1.1 defaults to persistent
     unless [Connection: close]; HTTP/1.0 defaults to close unless
@@ -86,8 +83,6 @@ val conn_of_channel : ?keep_alive:bool -> out_channel -> conn
 
 val keep_alive : conn -> bool
 val set_keep_alive : conn -> bool -> unit
-
-val status_reason : int -> string
 
 val respond :
   ?headers:(string * string) list ->

@@ -159,31 +159,31 @@ let session_of_meta t (m : Session.meta) =
       (Workload.campaign_name ~setup:p.Session.setup ~template:p.Session.template)
     ?journal_path ?meta_path ~submitted:m.Session.meta_submitted ~slot ()
 
-(* The one loader of finished sessions: the meta for identity, state and
-   stats, the journal and the meta's progress lines for the stream.  The
-   rebuilt session streams, lists and reports status byte for byte as the
-   live one did. *)
-let load_finished t id =
+(* A finished session's meta and terminal state, if [id] names one. *)
+let finished_meta t id =
   match (t.cfg.state_dir, sequence_of_id id) with
   | None, _ | _, None -> None
   | Some dir, Some _ -> (
     match read_meta (Filename.concat dir (id ^ ".meta.json")) with
-    | Some m when m.Session.meta_id = id -> (
-      match terminal_state m with
-      | None -> None
-      | Some st ->
-        let s = session_of_meta t m in
-        let events =
-          match s.Session.journal_path with
-          | Some p when Sys.file_exists p ->
-            Journal.events (fst (Journal.load ~path:p))
-          | _ -> []
-        in
-        Session.replay s ~events ~progress:m.Session.meta_progress;
-        Session.conclude s st ?stats:m.Session.meta_stats
-          ~wall_seconds:m.Session.meta_wall_seconds ();
-        Some s)
+    | Some m when m.Session.meta_id = id ->
+      Option.map (fun st -> (m, st)) (terminal_state m)
     | _ -> None)
+
+(* The one loader of finished sessions: the meta for identity, state and
+   stats, the journal and the meta's progress lines for the stream.  The
+   rebuilt session streams, lists and reports status byte for byte as the
+   live one did. *)
+let session_of_finished t (m, st) =
+  let s = session_of_meta t m in
+  let events =
+    match s.Session.journal_path with
+    | Some p when Sys.file_exists p -> Journal.events (fst (Journal.load ~path:p))
+    | _ -> []
+  in
+  Session.replay s ~events ~progress:m.Session.meta_progress;
+  Session.conclude s st ?stats:m.Session.meta_stats
+    ~wall_seconds:m.Session.meta_wall_seconds ();
+  s
 
 let meta_ids dir =
   Sys.readdir dir |> Array.to_list
@@ -534,20 +534,30 @@ let submit t ~tenant params =
 let find t id =
   match locked t (fun () -> Hashtbl.find_opt t.sessions id) with
   | Some s -> Some s
-  | None -> load_finished t id
+  | None -> Option.map (session_of_finished t) (finished_meta t id)
 
+(* A finished campaign lists from its terminal meta alone; only a meta
+   written before [records] was persisted needs its journal replayed. *)
 let list t =
   let live = locked t (fun () -> Hashtbl.copy t.sessions) in
+  let summary s = (s.Session.submitted, Session.summary_json s) in
   let finished =
     match t.cfg.state_dir with
     | None -> []
     | Some dir ->
       meta_ids dir
       |> List.filter (fun id -> not (Hashtbl.mem live id))
-      |> List.filter_map (load_finished t)
+      |> List.filter_map (fun id ->
+             Option.map
+               (fun ((m, _) as f) ->
+                 match Session.meta_summary_json m with
+                 | Some json -> (m.Session.meta_submitted, json)
+                 | None -> summary (session_of_finished t f))
+               (finished_meta t id))
   in
-  Hashtbl.fold (fun _ s acc -> s :: acc) live finished
-  |> List.sort (fun a b -> compare a.Session.submitted b.Session.submitted)
+  Hashtbl.fold (fun _ s acc -> summary s :: acc) live finished
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 (* Cancel a session (the DELETE handler).  Queued sessions cancel
    immediately (dequeued, terminal, done-line pushed); a running session

@@ -68,9 +68,10 @@ val find : t -> string -> Session.t option
     stream, status and summary byte-identical to the live session's.
     Only ids of the form [<tenant>-<digits>] ever reach the disk. *)
 
-val list : t -> Session.t list
-(** All known sessions in submission order: the live ones and, with a
-    state dir, every finished one read back from disk. *)
+val list : t -> Scamv_util.Json.t list
+(** The {!Session.summary_json} of every known session, in submission
+    order: the live ones and, with a state dir, every finished one, read
+    from its terminal meta. *)
 
 val cancel : t -> Session.t -> bool
 (** Queued sessions cancel immediately; a running one gets its cancel

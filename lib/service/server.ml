@@ -94,9 +94,8 @@ let h_submit t req conn =
           respond_error conn ~status:503 "service shutting down")))
 
 let h_list t _req conn =
-  let sessions = Scheduler.list t.scheduler in
   Http.respond_json conn
-    (Json.Obj [ ("campaigns", Json.Arr (List.map Session.summary_json sessions)) ])
+    (Json.Obj [ ("campaigns", Json.Arr (Scheduler.list t.scheduler)) ])
 
 let with_session t id conn f =
   match Scheduler.find t.scheduler id with

@@ -299,15 +299,18 @@ let status_json t =
           | None -> []
           | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ])))
 
+let summary ~id ~tenant ~state ~records =
+  Json.Obj
+    [
+      ("id", Json.Str id);
+      ("tenant", Json.Str tenant);
+      ("state", Json.Str state);
+      ("records", Json.Num (float_of_int records));
+    ]
+
 let summary_json t =
   locked t (fun () ->
-      Json.Obj
-        [
-          ("id", Json.Str t.id);
-          ("tenant", Json.Str t.tenant);
-          ("state", Json.Str (state_name t.state));
-          ("records", Json.Num (float_of_int t.nlines));
-        ])
+      summary ~id:t.id ~tenant:t.tenant ~state:(state_name t.state) ~records:t.nlines)
 
 let record_line event =
   let module Journal = Scamv.Journal in
@@ -374,6 +377,10 @@ let meta_json t =
         @ (match t.stats with
           | None -> []
           | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ])
+        (* the terminal meta alone answers the listing; queued metas keep
+           their historical bytes *)
+        @ (if is_terminal t.state then [ ("records", Json.Num (float_of_int t.nlines)) ]
+           else [])
         (* written only when there are progress lines, so metas of
            campaigns without any keep their historical bytes *)
         @
@@ -399,6 +406,7 @@ type meta = {
   meta_stats : Json.t option;
   meta_wall_seconds : float;
   meta_progress : (int * string) list;
+  meta_records : int option;
 }
 
 let meta_of_json json =
@@ -432,6 +440,11 @@ let meta_of_json json =
   let meta_wall_seconds =
     match Json.member "wall_seconds" json with Some (Json.Num f) -> f | _ -> 0.0
   in
+  let* meta_records =
+    match Json.member "records" json with
+    | None -> Ok None
+    | Some v -> Result.map Option.some (int_field "records" v)
+  in
   let* meta_progress =
     let entry = function
       | Json.Arr [ at; Json.Str message ] ->
@@ -460,4 +473,11 @@ let meta_of_json json =
       meta_stats;
       meta_wall_seconds;
       meta_progress;
+      meta_records;
     }
+
+let meta_summary_json m =
+  Option.map
+    (fun records ->
+      summary ~id:m.meta_id ~tenant:m.meta_tenant ~state:m.meta_state ~records)
+    m.meta_records

@@ -151,7 +151,8 @@ val record_line : Scamv.Journal.event -> string
 val meta_json : t -> Scamv_util.Json.t
 (** The sidecar [<id>.meta.json] record: identity, resolved params,
     current/terminal state, stats, and — only when there are any — the
-    progress lines with their stream positions.  A finished session's
+    progress lines with their stream positions; a terminal meta also
+    keeps the stream's line count ([records]).  A finished session's
     meta plus its journal is all the server keeps of it. *)
 
 type meta = {
@@ -164,6 +165,13 @@ type meta = {
   meta_stats : Scamv_util.Json.t option;
   meta_wall_seconds : float;
   meta_progress : (int * string) list;  (** oldest first *)
+  meta_records : int option;
+      (** the stream's line count; terminal metas only, and absent from
+          metas written before it was persisted *)
 }
 
 val meta_of_json : Scamv_util.Json.t -> (meta, string) result
+
+val meta_summary_json : meta -> Scamv_util.Json.t option
+(** The {!summary_json} of the session the meta describes, rendered from
+    the meta alone; [None] when it has no [records]. *)

@@ -174,7 +174,6 @@ let create ?seed ?(default_phase = false) ?(restart_base = 100) () =
     lbd_flushed = Array.make lbd_buckets 0;
   }
 
-let num_vars t = t.nvars
 let stats_conflicts t = t.conflicts
 let stats_decisions t = t.decisions
 let stats_propagations t = t.propagations
@@ -710,8 +709,6 @@ let pop t =
   t.lits_buf.(0) <- negate s;
   add_buffered t 1;
   Scamv_telemetry.Collector.incr "sat.pops"
-
-let num_scopes t = t.n_scopes
 
 (* ---- conflict analysis (first UIP) ---- *)
 

@@ -73,8 +73,6 @@ val create : ?seed:int64 -> ?default_phase:bool -> ?restart_base:int -> unit -> 
 val new_var : t -> int
 (** Allocate a fresh variable. *)
 
-val num_vars : t -> int
-
 val add_clause : t -> lit list -> unit
 (** Add a clause over existing variables.  Adding the empty clause (or a
     clause falsified at level 0) makes the instance permanently UNSAT.
@@ -101,9 +99,6 @@ val pop : t -> unit
     selector's negation, so they remain sound and are simplified away
     rather than unlearned — knowledge from sibling scopes persists.
     Raises [Invalid_argument] with no open scope. *)
-
-val num_scopes : t -> int
-(** Number of currently open {!push} scopes. *)
 
 type outcome = Sat | Unsat | Unknown
 (** Three-valued solve result.  [Unknown] means the conflict cap was

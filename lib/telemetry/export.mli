@@ -4,14 +4,11 @@
     spans in completion order — so frozen-clock campaigns export
     byte-identical files regardless of [--jobs]. *)
 
-val trace_json : Collector.report -> Scamv_util.Json.t
-(** Chrome trace-event document ([chrome://tracing] / Perfetto): one
-    ["ph":"X"] complete event per span, [ts]/[dur] in microseconds,
-    [pid] 1, [tid] the span's track, span arguments (plus nesting
-    [depth]) under [args]. *)
-
 val trace_string : Collector.report -> string
-(** [trace_json] pretty-printed (what [--trace FILE] writes). *)
+(** Chrome trace-event document ([chrome://tracing] / Perfetto),
+    pretty-printed; what [--trace FILE] writes.  One ["ph":"X"] complete
+    event per span, [ts]/[dur] in microseconds, [pid] 1, [tid] the span's
+    track, span arguments (plus nesting [depth]) under [args]. *)
 
 val prometheus : Metrics.t -> string
 (** Prometheus text exposition: [# TYPE] line per metric, mangled names
@@ -19,9 +16,6 @@ val prometheus : Metrics.t -> string
     [_bucket{le="..."}] lines (only occupied boundaries, plus the
     mandatory [+Inf]) with [_sum]/[_count].  What [--metrics FILE]
     writes. *)
-
-val summary_rows : Metrics.t -> string list list
-(** Rows [[name; kind; value]] for a {!Scamv_util.Text_table}. *)
 
 val summary_table : Metrics.t -> string
 (** Rendered end-of-run summary table (header [metric | kind | value]). *)

@@ -120,5 +120,3 @@ let histogram_n t name =
   match histogram t name with Some h -> h.count | None -> 0
 
 let to_list t = M.bindings t
-
-let is_empty = M.is_empty

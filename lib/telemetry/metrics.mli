@@ -74,5 +74,3 @@ val histogram_n : t -> string -> int
 
 val to_list : t -> (string * value) list
 (** All metrics sorted by name (deterministic exporter order). *)
-
-val is_empty : t -> bool

@@ -20,9 +20,6 @@ val sign_extend : int -> int64 -> int64
 val extract : hi:int -> lo:int -> int64 -> int64
 (** [extract ~hi ~lo v] is bits [hi..lo] of [v], right-aligned. *)
 
-val ucompare : int64 -> int64 -> int
-(** Unsigned comparison. *)
-
 val ult : int64 -> int64 -> bool
 (** Unsigned strictly-less-than. *)
 

@@ -19,12 +19,9 @@
     batches so a long-running service can run many campaigns on one
     warmed-up pool — see DESIGN.md Sec. 10. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val resolve_jobs : int -> int
-(** Normalizes a [--jobs] style argument: [0] means {!default_jobs},
-    positive values pass through.
+(** Normalizes a [--jobs] style argument: [0] means
+    [Domain.recommended_domain_count ()], positive values pass through.
     @raise Invalid_argument on negative values. *)
 
 type failure = { exn : exn; backtrace : Printexc.raw_backtrace }

@@ -261,9 +261,10 @@ let test_journal_accumulates () =
   Journal.record j (sample_entry 1 Executor.Indistinguishable);
   Journal.record j (sample_entry 2 Executor.Inconclusive);
   Alcotest.(check Alcotest.int) "length" 3 (Journal.length j);
-  Alcotest.(check Alcotest.int) "counterexamples" 1 (List.length (Journal.counterexamples j));
-  let d, i, u = Journal.verdict_counts j in
-  Alcotest.(check (list Alcotest.int)) "counts" [ 1; 1; 1 ] [ d; i; u ]
+  let s = Stats.add_program ~elapsed:0. Stats.empty (Journal.events j) in
+  Alcotest.(check (list Alcotest.int))
+    "experiments, counterexamples, inconclusive" [ 3; 1; 1 ]
+    [ s.Stats.experiments; s.Stats.counterexamples; s.Stats.inconclusive ]
 
 let test_journal_csv_shape () =
   let j = Journal.create () in
@@ -287,9 +288,11 @@ let test_journal_from_campaign () =
   Alcotest.(check Alcotest.int) "journal matches stats"
     outcome.Scamv.Campaign.stats.Stats.experiments (Journal.length j);
   List.iter
-    (fun (e : Journal.entry) ->
-      Alcotest.(check string) "template recorded" "C" e.Journal.template)
-    (Journal.entries j)
+    (function
+      | Journal.Experiment e ->
+        Alcotest.(check string) "template recorded" "C" e.Journal.template
+      | _ -> ())
+    (Journal.events j)
 
 let () =
   Alcotest.run "scamv_extensions"

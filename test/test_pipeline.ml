@@ -255,6 +255,39 @@ let test_pin_diff () =
   Alcotest.(check string) "journal + stats digest" "a13d654d77acc5f570351dfc6ca7e50d"
     (digest journal outcome.Scamv.Diff.stats)
 
+(* The journal fold ([Stats]) and the worker's telemetry counters are
+   computed independently from the same campaign; they must agree on every
+   quantity both of them count. *)
+let test_stats_match_telemetry () =
+  let compared cfg =
+    let o = Campaign.run cfg in
+    let s = o.Campaign.stats in
+    let m = o.Campaign.telemetry.Scamv_telemetry.Collector.metrics in
+    [
+      ("experiments", s.Stats.experiments, counter o "campaign.experiments");
+      ("counterexamples", s.Stats.counterexamples, counter o "campaign.counterexamples");
+      ("retries", s.Stats.retries, counter o "campaign.retries");
+      ("budget", s.Stats.budget_exceeded, counter o "campaign.quarantined");
+      ("skipped", s.Stats.skipped_programs, counter o "campaign.program_failures");
+      ("crashed", s.Stats.crashed_programs, counter o "deadline.hits");
+      ( "generation samples",
+        s.Stats.experiments,
+        Scamv_telemetry.Metrics.histogram_n m "phase.generation.seconds" );
+    ]
+  in
+  let runs = [ compared (smoke_config ()); compared (smoke_config ~deadline_conflicts:150 ()) ] in
+  List.iter
+    (List.iter (fun (name, folded, counted) -> Alcotest.(check int) name counted folded))
+    runs;
+  (* Non-vacuous: every quantity is non-zero in some run, except skipped
+     programs, since no smoke program raises. *)
+  List.iter
+    (fun (name, _, _) ->
+      if name <> "skipped" then
+        Alcotest.(check bool) (name ^ " non-zero") true
+          (List.exists (List.exists (fun (n, v, _) -> n = name && v > 0)) runs))
+    (List.hd runs)
+
 let test_pipeline_deterministic () =
   let tmpl = Scamv_gen.Gen.generate ~seed:7L Templates.template_c in
   let run () =
@@ -371,6 +404,7 @@ let () =
           Alcotest.test_case "smoke on RV64" `Quick test_pin_smoke_riscv;
           Alcotest.test_case "virtual deadline" `Quick test_pin_deadline;
           Alcotest.test_case "diff with portfolio" `Quick test_pin_diff;
+          Alcotest.test_case "stats fold = telemetry" `Quick test_stats_match_telemetry;
         ] );
       ( "paper results (miniature)",
         [

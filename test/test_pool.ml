@@ -5,7 +5,6 @@
 
 module Pool = Scamv_util.Pool
 module Json = Scamv_util.Json
-module Summary = Scamv_util.Summary
 module Stopwatch = Scamv_util.Stopwatch
 module Campaign = Scamv.Campaign
 module Journal = Scamv.Journal
@@ -329,49 +328,104 @@ let test_sliced_pool_independent_batches () =
   | () -> Alcotest.fail "exec on a shut-down slice succeeded"
   | exception Pool.Shut_down -> ()
 
-(* ---- Summary.merge / Stats.merge ---- *)
+(* ---- Stats.merge ---- *)
 
-let summary_of = List.fold_left Summary.add Summary.empty
-
-let test_summary_merge () =
-  let a = summary_of [ 1.0; 5.0 ] and b = summary_of [ 0.5; 2.0; 3.0 ] in
-  let m = Summary.merge a b in
-  Alcotest.(check Alcotest.int) "count" 5 (Summary.count m);
-  Alcotest.(check (Alcotest.float 1e-9)) "total" 11.5 (Summary.total m);
-  Alcotest.(check (Alcotest.float 1e-9)) "min" 0.5 (Summary.min_value m);
-  Alcotest.(check (Alcotest.float 1e-9)) "max" 5.0 (Summary.max_value m);
-  Alcotest.(check bool) "empty is left identity" true (Summary.merge Summary.empty a = a);
-  Alcotest.(check bool) "empty is right identity" true (Summary.merge a Summary.empty = a)
+let experiment ?(retries = 0) ?(faults = 0) ~verdict ~gen ~exe program_index =
+  Scamv.Journal.Experiment
+    {
+      Scamv.Journal.campaign = "c";
+      program_index;
+      test_index = 0;
+      template = "t";
+      path_pair = (0, 1);
+      verdict;
+      generation_seconds = gen;
+      execution_seconds = exe;
+      retries;
+      faults;
+      isa = Scamv_arch.Isa.Aarch64;
+    }
 
 let test_stats_merge () =
   let s1 =
-    Stats.record_experiment Stats.empty ~verdict:Executor.Distinguishable ~retries:1
-      ~faults:2 ~gen_seconds:0.5 ~exe_seconds:0.25 ~elapsed:10.0 ()
+    Stats.add_program ~elapsed:10.0 Stats.empty
+      [ experiment ~verdict:Executor.Distinguishable ~retries:1 ~faults:2 ~gen:0.5
+          ~exe:0.25 0 ]
   in
-  let s1 = Stats.record_program s1 ~found_counterexample:true in
   let s2 =
-    Stats.record_experiment Stats.empty ~verdict:Executor.Inconclusive ~gen_seconds:1.5
-      ~exe_seconds:0.75 ~elapsed:4.0 ()
+    Stats.add_program ~elapsed:4.0 Stats.empty
+      [
+        experiment ~verdict:Executor.Inconclusive ~gen:1.5 ~exe:0.75 1;
+        Scamv.Journal.Quarantined
+          { campaign = "c"; program_index = 1; pair = (2, 3); reason = "budget" };
+      ]
   in
-  let s2 = Stats.record_quarantine (Stats.record_program s2 ~found_counterexample:false) in
   let m = Stats.merge s1 s2 in
   Alcotest.(check Alcotest.int) "programs" 2 m.Stats.programs;
+  Alcotest.(check Alcotest.int) "w/counterexample" 1 m.Stats.programs_with_counterexample;
   Alcotest.(check Alcotest.int) "experiments" 2 m.Stats.experiments;
   Alcotest.(check Alcotest.int) "counterexamples" 1 m.Stats.counterexamples;
   Alcotest.(check Alcotest.int) "inconclusive" 1 m.Stats.inconclusive;
   Alcotest.(check Alcotest.int) "quarantines" 1 m.Stats.budget_exceeded;
   Alcotest.(check Alcotest.int) "retries" 1 m.Stats.retries;
   Alcotest.(check Alcotest.int) "faults" 2 m.Stats.faults_observed;
-  Alcotest.(check Alcotest.int) "gen samples" 2 (Summary.count m.Stats.generation_time);
-  Alcotest.(check (Alcotest.float 1e-9))
-    "gen total" 2.0
-    (Summary.total m.Stats.generation_time);
+  Alcotest.(check (Alcotest.float 1e-9)) "gen total" 2.0 m.Stats.generation_seconds;
   (* ttc: earliest counterexample wins, and only s1 has one. *)
   Alcotest.(check (Alcotest.option (Alcotest.float 1e-9)))
     "ttc from the counterexample side" (Some 10.0)
     m.Stats.time_to_first_counterexample;
   Alcotest.(check bool) "merge commutes" true (Stats.merge s2 s1 = m);
   Alcotest.(check bool) "empty is identity" true (Stats.merge Stats.empty s1 = s1)
+
+(* Programs with non-decreasing [elapsed] and dyadic timings (exact float
+   sums), so the two sides of the law can be compared with [=]. *)
+let gen_programs =
+  let open QCheck.Gen in
+  let verdict = oneofl Executor.[ Distinguishable; Indistinguishable; Inconclusive ] in
+  let seconds = map (fun k -> float_of_int k /. 8.) (int_bound 64) in
+  let event i =
+    frequency
+      [
+        ( 4,
+          map
+            (fun (verdict, gen, exe, (retries, faults)) ->
+              experiment ~verdict ~gen ~exe ~retries ~faults i)
+            (quad verdict seconds seconds (pair (int_bound 3) (int_bound 3))) );
+        (1, return (Scamv.Journal.Quarantined
+                      { campaign = "c"; program_index = i; pair = (0, 1); reason = "r" }));
+        (1, return (Scamv.Journal.Program_failed
+                      { campaign = "c"; program_index = i; reason = "r" }));
+        (1, return (Scamv.Journal.Crashed
+                      { campaign = "c"; program_index = i; reason = "r" }));
+        ( 1,
+          map2
+            (fun aarch64 riscv ->
+              Scamv.Journal.Diverged
+                { campaign = "c"; program_index = i; pair = (0, 1); aarch64; riscv })
+            verdict verdict );
+      ]
+  in
+  let* n = int_bound 12 in
+  let* programs =
+    flatten_l
+      (List.init n (fun i -> pair seconds (list_size (int_bound 4) (event i))))
+  in
+  let _, programs =
+    List.fold_left_map (fun clock (dt, evs) -> (clock +. dt, (clock +. dt, evs))) 0. programs
+  in
+  map (fun k -> (List.filteri (fun i _ -> i < k) programs,
+                 List.filteri (fun i _ -> i >= k) programs))
+    (int_bound n)
+
+let fold_programs =
+  List.fold_left (fun s (elapsed, evs) -> Stats.add_program ~elapsed s evs) Stats.empty
+
+let prop_fold_homomorphism =
+  QCheck.Test.make ~name:"fold is a monoid homomorphism" ~count:300
+    (QCheck.make gen_programs) (fun (xs, ys) ->
+      let s = fold_programs (xs @ ys) in
+      s = Stats.merge (fold_programs xs) (fold_programs ys)
+      && List.length Stats.header = List.length (Stats.row ~name:"c" s))
 
 (* ---- JSON ---- *)
 
@@ -488,8 +542,8 @@ let () =
         ] );
       ( "merge",
         [
-          Alcotest.test_case "Summary.merge" `Quick test_summary_merge;
           Alcotest.test_case "Stats.merge" `Quick test_stats_merge;
+          QCheck_alcotest.to_alcotest prop_fold_homomorphism;
         ] );
       ( "json",
         [

@@ -543,6 +543,53 @@ let test_scheduler_memory_flat () =
   Alcotest.(check int) "list keeps every campaign" 140 (List.length (Scheduler.list t));
   Scheduler.shutdown t
 
+(* The listing reads a finished campaign's terminal meta, never its
+   journal: with every journal gone each summary still carries the right
+   record count.  A meta from before [records] was persisted falls back
+   to the journal, and a queued meta carries no [records]. *)
+let test_scheduler_list_from_metas () =
+  let dir = fresh_dir () in
+  let meta_path id = Filename.concat dir (id ^ ".meta.json") in
+  let has_records id = Json.member "records" (Json.of_string (read_file (meta_path id))) <> None in
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
+  let queued = submit_ok t ~tenant:"meta" small_params in
+  Alcotest.(check bool) "queued meta has no records" false (has_records queued.Session.id);
+  Scheduler.shutdown t;
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) () in
+  let sessions =
+    List.map
+      (fun (programs, tests_per_program) ->
+        let s =
+          submit_ok t ~tenant:"meta"
+            { Session.default_params with Session.template = "D";
+              setup = "mct-vs-mspec-sl"; programs; tests_per_program }
+        in
+        Scheduler.drain t;
+        s)
+      [ (1, 1); (1, 2); (2, 2) ]
+  in
+  let finished = find_ok t queued.Session.id :: sessions in
+  let expected = List.map (fun s -> Json.to_string (Session.summary_json s)) finished in
+  let listed () = List.map Json.to_string (Scheduler.list t) in
+  Alcotest.(check (list string)) "list at conclusion" expected (listed ());
+  List.iter
+    (fun s -> Alcotest.(check bool) "terminal meta has records" true (has_records s.Session.id))
+    finished;
+  let legacy = List.nth sessions 2 in
+  let path = meta_path legacy.Session.id in
+  (match Json.of_string (read_file path) with
+  | Json.Obj fields ->
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc
+          (Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "records") fields))))
+  | _ -> Alcotest.fail "meta is not an object");
+  List.iter
+    (fun s ->
+      if s != legacy then Sys.remove (Filename.concat dir (s.Session.id ^ ".journal")))
+    sessions;
+  Alcotest.(check (list string)) "list without journals" expected (listed ());
+  Scheduler.shutdown t
+
 (* ---- server: wire-level connection management ---- *)
 
 let with_server ?(concurrency = 1) ?(jobs = 1) ?state_dir ?max_connections
@@ -871,6 +918,8 @@ let () =
             test_scheduler_stream_identity;
           Alcotest.test_case "finished campaigns keep memory flat" `Quick
             test_scheduler_memory_flat;
+          Alcotest.test_case "list reads terminal metas" `Quick
+            test_scheduler_list_from_metas;
         ] );
       ( "server",
         [

@@ -1,6 +1,5 @@
 module Bits = Scamv_util.Bits
 module Splitmix = Scamv_util.Splitmix
-module Summary = Scamv_util.Summary
 module Text_table = Scamv_util.Text_table
 module Json = Scamv_util.Json
 module Crc32 = Scamv_util.Crc32
@@ -104,20 +103,6 @@ let prop_rng_float_range =
   QCheck.Test.make ~name:"float stays in [0,1)" ~count:500 QCheck.int64 (fun seed ->
       let v, _ = Splitmix.float (Splitmix.of_seed seed) in
       v >= 0.0 && v < 1.0)
-
-(* ---- Summary ---- *)
-
-let test_summary_empty () =
-  Alcotest.(check Alcotest.int) "count" 0 (Summary.count Summary.empty);
-  Alcotest.(check (float 1e-9)) "mean" 0.0 (Summary.mean Summary.empty)
-
-let test_summary_accumulate () =
-  let s = List.fold_left Summary.add Summary.empty [ 1.0; 2.0; 3.0 ] in
-  Alcotest.(check Alcotest.int) "count" 3 (Summary.count s);
-  Alcotest.(check (float 1e-9)) "total" 6.0 (Summary.total s);
-  Alcotest.(check (float 1e-9)) "mean" 2.0 (Summary.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Summary.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 3.0 (Summary.max_value s)
 
 (* ---- Json edge cases ---- *)
 
@@ -396,11 +381,6 @@ let () =
           Alcotest.test_case "choose" `Quick test_rng_choose;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           QCheck_alcotest.to_alcotest prop_rng_float_range;
-        ] );
-      ( "summary",
-        [
-          Alcotest.test_case "empty" `Quick test_summary_empty;
-          Alcotest.test_case "accumulate" `Quick test_summary_accumulate;
         ] );
       ( "json",
         [
