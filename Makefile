@@ -86,7 +86,8 @@ diff-smoke: build
 # side runs first, and fail on a failed output check, more failed
 # operations, or a gated median worse than HEAD's by more than its bound.
 # perf-check gates refined-a experiments_per_s and the generation layers
-# (pipeline.prepare_s, pipeline.next_case_s); service-perf-check gates
+# (pipeline.prepare_s, pipeline.next_case_s), and unguided-c-rv64
+# experiments_per_s, the SAT-bound workload; service-perf-check gates
 # served-small campaigns_per_s and campaign_p95_s.  See bench/perf_gate.py.
 perf-check:
 	python3 bench/perf_gate.py perf-check

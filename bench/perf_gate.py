@@ -33,6 +33,7 @@ GATES = {
         ("refined-a", 0, "experiments_per_s"),
         ("refined-a", 1, "pipeline.prepare_s"),
         ("refined-a", 1, "pipeline.next_case_s"),
+        ("unguided-c-rv64", 0, "experiments_per_s"),
     ],
     "service-perf-check": [
         ("served-small", 0, "campaigns_per_s"),

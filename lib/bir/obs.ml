@@ -6,7 +6,6 @@ type t = { tag : tag; kind : string; cond : Term.t; values : Term.t list }
 let make ?(tag = Base) ?(cond = Term.tt) ~kind values = { tag; kind; cond; values }
 let is_base o = o.tag = Base
 let is_refined o = o.tag = Refined
-let is_coverage o = o.tag = Coverage
 
 let map_terms f o = { o with cond = f o.cond; values = List.map f o.values }
 

@@ -36,7 +36,6 @@ val make :
 
 val is_base : t -> bool
 val is_refined : t -> bool
-val is_coverage : t -> bool
 
 val map_terms : (Scamv_smt.Term.t -> Scamv_smt.Term.t) -> t -> t
 (** Apply a function to the condition and all observed values (used by

@@ -55,13 +55,6 @@ let map_blocks f t =
 let add_blocks new_blocks t =
   make ~entry:t.entry (List.map snd (Int_map.bindings t.blocks) @ new_blocks)
 
-let stmt_vars = function
-  | Assign (x, e) ->
-    let sort = Term.sort_of e in
-    (x, sort) :: Term.free_vars e
-  | Observe o ->
-    List.concat_map Term.free_vars (o.Obs.cond :: o.Obs.values)
-
 let pp_stmt ppf = function
   | Assign (x, e) -> Format.fprintf ppf "%s := %a" x Term.pp e
   | Observe o -> Obs.pp ppf o

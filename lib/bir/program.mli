@@ -42,8 +42,5 @@ val add_blocks : block list -> t -> t
 
 val successors : block -> int list
 
-val stmt_vars : stmt -> (string * Scamv_smt.Sort.t) list
-(** Variables occurring in a statement (read or written). *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -30,4 +30,3 @@ let all_program_vars =
       (flag_v, Sort.Bool);
     ]
 
-let with_suffix name suffix = name ^ suffix

@@ -26,7 +26,3 @@ val is_shadow : string -> bool
 val all_program_vars : (string * Scamv_smt.Sort.t) list
 (** Registers, memory and flags (without shadows). *)
 
-val with_suffix : string -> string -> string
-(** [with_suffix "x0" "_1"] = ["x0_1"]; relation synthesis uses suffixes
-    ["_1"] / ["_2"] for the two states of a test case and ["_t"] for the
-    predictor-training state. *)

@@ -30,23 +30,16 @@ val template_b : t Gen.t
 val template_c : t Gen.t
 val template_d : t Gen.t
 
-val rv_stride : t Gen.t
-val rv_template_a : t Gen.t
-val rv_template_b : t Gen.t
-val rv_template_c : t Gen.t
-val rv_template_d : t Gen.t
-(** RV64 instantiations of the same shapes (Sec. 2.3's multi-ISA claim):
-    the flag-setting [Cmp]/[B.cond] pair becomes a single RV64
-    compare-and-branch, register-offset addressing becomes an explicit
-    address [Add] feeding a base+immediate load, and template D's dead
-    code hides behind [jal x0].  Template names are shared with the
-    AArch64 variants so differential campaigns line up by name. *)
-
 val names : string list
 (** The template names accepted by {!by_name}. *)
 
 val by_name : ?isa:Scamv_arch.Isa.t -> string -> t Gen.t
 (** ["stride" | "A" | "B" | "C" | "D"], for the requested guest ISA
-    (default [Aarch64]).
+    (default [Aarch64]).  The RV64 instantiations have the same shapes
+    (Sec. 2.3's multi-ISA claim): the flag-setting [Cmp]/[B.cond] pair
+    becomes a single RV64 compare-and-branch, register-offset addressing
+    becomes an explicit address [Add] feeding a base+immediate load, and
+    template D's dead code hides behind [jal x0].  Template names are
+    shared across ISAs so differential campaigns line up by name.
     @raise Invalid_argument on unknown names (the message lists the
     valid ones). *)

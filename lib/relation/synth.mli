@@ -85,9 +85,6 @@ val full_equivalence : config -> Scamv_symbolic.Exec.leaf list -> Scamv_smt.Term
     platform constraints) — kept for the ablation benchmark comparing it
     against the per-pair split. *)
 
-val in_range : Scamv_isa.Platform.t -> Scamv_smt.Term.t -> Scamv_smt.Term.t
-(** Address-in-experiment-region predicate. *)
-
 val range_constraints_of_leaf :
   Scamv_isa.Platform.t -> Scamv_symbolic.Exec.leaf -> Scamv_smt.Term.t list
 (** The well-formedness constraints of one path, over canonical (unsuffixed)

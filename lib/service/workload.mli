@@ -6,7 +6,6 @@
     a batch one — the prerequisite for byte-identical artifacts. *)
 
 val setups : (string * (unit -> Scamv_models.Refinement.t)) list
-val setup_names : string list
 
 val lookup_setup : string -> (Scamv_models.Refinement.t, string) result
 

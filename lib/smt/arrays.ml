@@ -116,8 +116,6 @@ let eliminate_into st fs =
   done;
   { formulas; side_conditions = !side_conditions; reads = Array.to_list reads }
 
-let eliminate fs = eliminate_into (new_state ()) fs
-
 let recover_memories model reads =
   let with_cells =
     List.fold_left

@@ -32,10 +32,7 @@ val eliminate_into : state -> Term.t list -> result
     names); [result.side_conditions] contains only the consistency pairs
     involving at least one read that is new in this batch, and
     [result.reads] lists {e all} reads accumulated so far.  On a fresh
-    state this is exactly {!eliminate}. *)
-
-val eliminate : Term.t list -> result
-(** [eliminate fs] removes all memory operations from [fs].
+    state it removes all memory operations from [fs].
     @raise Term.Sort_error if a formula compares memories for equality. *)
 
 val recover_memories : Model.t -> read list -> Model.t

@@ -193,6 +193,37 @@ let cl_set_size t c n = t.ca.(c) <- (n lsl 2) lor (t.ca.(c) land 3)
 
 (* ---- dynamic growth ---- *)
 
+(* Int arrays are copied by a typed loop, never by the polymorphic
+   [Array.blit]: in OCaml 5 its C primitive runs [caml_modify] on every
+   word once the destination has left the minor heap (any array past 256
+   words), although an int needs no write barrier.  The typed loop is a
+   plain load and store per word. *)
+let blit_ints (src : int array) src_pos (dst : int array) dst_pos n =
+  let shift = dst_pos - src_pos in
+  for i = src_pos to src_pos + n - 1 do
+    Array.unsafe_set dst (i + shift) (Array.unsafe_get src i)
+  done
+
+let grow_ints (a : int array) n fill =
+  if Array.length a >= n then a
+  else begin
+    let a' = Array.make (max n (2 * Array.length a)) fill in
+    blit_ints a 0 a' 0 (Array.length a);
+    a'
+  end
+
+let grow_bools (a : bool array) n fill =
+  if Array.length a >= n then a
+  else begin
+    let a' = Array.make (max n (2 * Array.length a)) fill in
+    for i = 0 to Array.length a - 1 do
+      Array.unsafe_set a' i (Array.unsafe_get a i)
+    done;
+    a'
+  end
+
+(* The float arrays ([Array.blit] copies them with [memmove]) and the
+   watch-vector table, whose words are pointers and need the barrier. *)
 let grow_arr a n fill =
   if Array.length a >= n then a
   else begin
@@ -206,22 +237,22 @@ let grow_arr a n fill =
    [new_var] stores a field (a write barrier each) only when it grows. *)
 let ensure_var_cap t n =
   if Array.length t.assign <= n then begin
-    t.assign <- grow_arr t.assign (n + 1) 0;
-    t.level <- grow_arr t.level (n + 1) 0;
-    t.reason <- grow_arr t.reason (n + 1) cr_null;
-    t.phase <- grow_arr t.phase (n + 1) t.default_phase;
+    t.assign <- grow_ints t.assign (n + 1) 0;
+    t.level <- grow_ints t.level (n + 1) 0;
+    t.reason <- grow_ints t.reason (n + 1) cr_null;
+    t.phase <- grow_bools t.phase (n + 1) t.default_phase;
     t.activity <- grow_arr t.activity (n + 1) 0.0;
     t.w_data <- grow_arr t.w_data (2 * (n + 1)) [||];
-    t.w_size <- grow_arr t.w_size (2 * (n + 1)) 0;
-    t.trail <- grow_arr t.trail (n + 1) 0;
-    t.trail_lim <- grow_arr t.trail_lim (n + 1) 0;
-    t.heap <- grow_arr t.heap (n + 1) 0;
+    t.w_size <- grow_ints t.w_size (2 * (n + 1)) 0;
+    t.trail <- grow_ints t.trail (n + 1) 0;
+    t.trail_lim <- grow_ints t.trail_lim (n + 1) 0;
+    t.heap <- grow_ints t.heap (n + 1) 0;
     t.heap_act <- grow_arr t.heap_act (n + 1) 0.0;
-    t.heap_pos <- grow_arr t.heap_pos (n + 1) (-1);
-    t.seen <- grow_arr t.seen (n + 1) false
+    t.heap_pos <- grow_ints t.heap_pos (n + 1) (-1);
+    t.seen <- grow_bools t.seen (n + 1) false
   end;
   if Array.length t.level_stamp <= n + 1 then
-    t.level_stamp <- grow_arr t.level_stamp (n + 2) 0
+    t.level_stamp <- grow_ints t.level_stamp (n + 2) 0
 
 (* ---- order heap ---- *)
 
@@ -395,20 +426,25 @@ let cancel_until t lvl =
 
 (* ---- watches ---- *)
 
+(* A literal's first watcher allocates its vector as a literal array —
+   an inline minor-heap allocation, where [Array.make] is a C call. *)
 let push_watch t l cref blocker =
   let data = t.w_data.(l) in
   let sz = t.w_size.(l) in
-  let data =
-    if sz + 2 > Array.length data then begin
-      let data' = Array.make (max 4 (2 * Array.length data)) 0 in
-      Array.blit data 0 data' 0 sz;
-      t.w_data.(l) <- data';
-      data'
-    end
-    else data
-  in
-  data.(sz) <- cref;
-  data.(sz + 1) <- blocker;
+  if Array.length data = 0 then t.w_data.(l) <- [| cref; blocker; 0; 0 |]
+  else begin
+    let data =
+      if sz + 2 > Array.length data then begin
+        let data' = Array.make (2 * Array.length data) 0 in
+        blit_ints data 0 data' 0 sz;
+        t.w_data.(l) <- data';
+        data'
+      end
+      else data
+    in
+    data.(sz) <- cref;
+    data.(sz + 1) <- blocker
+  end;
   t.w_size.(l) <- sz + 2
 
 let attach_clause t c =
@@ -423,7 +459,7 @@ let ca_alloc t words =
   if t.ca_size + words > Array.length t.ca then begin
     let cap = max (t.ca_size + words) (2 * Array.length t.ca) in
     let ca' = Array.make cap 0 in
-    Array.blit t.ca 0 ca' 0 t.ca_size;
+    blit_ints t.ca 0 ca' 0 t.ca_size;
     t.ca <- ca'
   end;
   let c = t.ca_size in
@@ -431,7 +467,7 @@ let ca_alloc t words =
   c
 
 let push_cref arr n c =
-  let arr = grow_arr arr (n + 1) 0 in
+  let arr = grow_ints arr (n + 1) 0 in
   arr.(n) <- c;
   arr
 
@@ -445,8 +481,7 @@ let alloc_clause t ~learned lits n =
     t.ca.(c + 1) <- 0;
     t.ca.(c + 2) <- 0
   end;
-  let base = c + 1 + extra in
-  Array.blit lits 0 t.ca base n;
+  blit_ints lits 0 t.ca (c + 1 + extra) n;
   c
 
 (* ---- propagation ---- *)
@@ -553,9 +588,24 @@ let put_guard t =
     1
   end
 
-(* Ascending sort of [buf.(0..n-1)]: insertion sort for clause-sized
-   prefixes, the library heap sort on a copy for long (blocking) ones. *)
-let sort_prefix buf n =
+(* Place [x] at the hole [i] of the max-heap [buf.(0..n-1)] and move it
+   down past every larger child. *)
+let rec sift_down (buf : int array) n i x =
+  let c = (2 * i) + 1 in
+  if c >= n then buf.(i) <- x
+  else begin
+    let c = if c + 1 < n && buf.(c + 1) > buf.(c) then c + 1 else c in
+    if buf.(c) > x then begin
+      buf.(i) <- buf.(c);
+      sift_down buf n c x
+    end
+    else buf.(i) <- x
+  end
+
+(* Ascending sort of [buf.(0..n-1)] in place: insertion sort for
+   clause-sized prefixes, heap sort for long (blocking) ones.  Equal ints
+   are indistinguishable, so any correct sort leaves the same buffer. *)
+let sort_prefix (buf : int array) n =
   if n <= 16 then
     for i = 1 to n - 1 do
       let x = buf.(i) in
@@ -567,14 +617,27 @@ let sort_prefix buf n =
       buf.(!j + 1) <- x
     done
   else begin
-    let a = Array.sub buf 0 n in
-    Array.sort Int.compare a;
-    Array.blit a 0 buf 0 n
+    for i = (n / 2) - 1 downto 0 do
+      sift_down buf n i buf.(i)
+    done;
+    for k = n - 1 downto 1 do
+      let x = buf.(k) in
+      buf.(k) <- buf.(0);
+      sift_down buf k 0 x
+    done
   end
 
 let root_lit t l =
   let a = root_value t (l lsr 1) in
   if l land 1 = 0 then a else -a
+
+(* Store [t.lits_buf.(0..n-1)] as a problem clause watching its first two
+   literals. *)
+let store_clause t n =
+  let c = alloc_clause t ~learned:false t.lits_buf n in
+  attach_clause t c;
+  t.clauses <- push_cref t.clauses t.n_clauses c;
+  t.n_clauses <- t.n_clauses + 1
 
 (* Add the clause held in [t.lits_buf.(0..n-1)].  Normalize against root
    (level-0) assignments only, so clauses can be added at any decision
@@ -658,23 +721,39 @@ let add_buffered t n =
           end;
           incr i
         done;
-        let c = alloc_clause t ~learned:false buf n in
-        attach_clause t c;
-        t.clauses <- push_cref t.clauses t.n_clauses c;
-        t.n_clauses <- t.n_clauses + 1
+        store_clause t n
       end
     end
   end
+
+(* Fresh-clause path for the fixed-arity entry points: when every literal
+   of the sorted buffer (guard included) is unassigned and no two share a
+   variable — the common Tseitin case, a gate over fresh or still-free
+   wires — [add_buffered] would drop, strip and rewind nothing and watch
+   the first two literals, so the clause is stored as sorted.  Anything
+   else takes the full normalization. *)
+let add_small t n =
+  let buf = t.lits_buf and assign = t.assign in
+  sort_prefix buf n;
+  let fresh = ref (not t.unsat) in
+  for i = 0 to n - 1 do
+    let v = buf.(i) lsr 1 in
+    if assign.(v) <> 0 || (i > 0 && buf.(i - 1) lsr 1 = v) then fresh := false
+  done;
+  if !fresh then store_clause t n else add_buffered t n
+
+let rec fill_lits (buf : int array) i = function
+  | [] -> i
+  | l :: rest ->
+    buf.(i) <- l;
+    fill_lits buf (i + 1) rest
 
 (* Clauses added under an open scope carry the innermost selector's
    negation as a guard: they only bite while [solve] assumes the selector,
    and [pop]'s permanent unit satisfies them all at once. *)
 let add_clause t lits =
-  let n = List.length lits + 1 in
-  if Array.length t.lits_buf < n then t.lits_buf <- grow_arr t.lits_buf n 0;
-  let k = put_guard t in
-  let n = List.fold_left (fun i l -> t.lits_buf.(i) <- l; i + 1) k lits in
-  add_buffered t n
+  t.lits_buf <- grow_ints t.lits_buf (List.length lits + 1) 0;
+  add_buffered t (fill_lits t.lits_buf (put_guard t) lits)
 
 (* [lits_buf] starts at 16 entries and never shrinks, so the fixed-arity
    entry points (guard included) always fit. *)
@@ -682,18 +761,18 @@ let add_clause2 t a b =
   let k = put_guard t in
   t.lits_buf.(k) <- a;
   t.lits_buf.(k + 1) <- b;
-  add_buffered t (k + 2)
+  add_small t (k + 2)
 
 let add_clause3 t a b c =
   let k = put_guard t in
   t.lits_buf.(k) <- a;
   t.lits_buf.(k + 1) <- b;
   t.lits_buf.(k + 2) <- c;
-  add_buffered t (k + 3)
+  add_small t (k + 3)
 
 let push t =
   let s = pos (new_var t) in
-  t.scope_lits <- grow_arr t.scope_lits (t.n_scopes + 1) 0;
+  t.scope_lits <- grow_ints t.scope_lits (t.n_scopes + 1) 0;
   t.scope_lits.(t.n_scopes) <- s;
   t.n_scopes <- t.n_scopes + 1;
   Scamv_telemetry.Collector.incr "sat.pushes"
@@ -1001,7 +1080,9 @@ let solve ?(assumptions = [||]) ?n_assumptions ?max_conflicts t =
   let n_assumptions =
     match n_assumptions with
     | None -> Array.length assumptions
-    | Some n -> min n (Array.length assumptions)
+    | Some n ->
+      if n < 0 then invalid_arg "Sat.solve: negative n_assumptions";
+      min n (Array.length assumptions)
   in
   if t.unsat then Unsat
   else begin
@@ -1060,9 +1141,9 @@ let solve ?(assumptions = [||]) ?n_assumptions ?max_conflicts t =
        then the caller's assumptions, materialized into solver-owned
        scratch so repeated queries allocate nothing. *)
     let total = t.n_scopes + n_assumptions in
-    t.eff <- grow_arr t.eff total 0;
-    Array.blit t.scope_lits 0 t.eff 0 t.n_scopes;
-    Array.blit assumptions 0 t.eff t.n_scopes n_assumptions;
+    t.eff <- grow_ints t.eff total 0;
+    blit_ints t.scope_lits 0 t.eff 0 t.n_scopes;
+    blit_ints assumptions 0 t.eff t.n_scopes n_assumptions;
     if total > 0 then Scamv_telemetry.Collector.incr "sat.assumption_solves";
     (* Assumption-trail reuse: the previous query left one decision level
        per assumption (levels 0..n_prev-1, empty when already implied),
@@ -1087,8 +1168,8 @@ let solve ?(assumptions = [||]) ?n_assumptions ?max_conflicts t =
       if !k = total then decision_level t else !k
     in
     cancel_until t keep;
-    t.prev_assum <- grow_arr t.prev_assum total 0;
-    Array.blit t.eff 0 t.prev_assum 0 total;
+    t.prev_assum <- grow_ints t.prev_assum total 0;
+    blit_ints t.eff 0 t.prev_assum 0 total;
     t.n_prev <- total;
     (* Decision order state needs no per-query rewind:
        positive-activity variables stay on the heap across queries, and
@@ -1232,9 +1313,6 @@ let nudge_activity t v amount =
 let reset_phases t = Array.fill t.phase 0 (Array.length t.phase) t.default_phase
 
 let randomize_phases t seed =
-  let rng = ref (Scamv_util.Splitmix.of_seed seed) in
-  for v = 1 to t.nvars do
-    let b, r = Scamv_util.Splitmix.bool !rng in
-    rng := r;
-    t.phase.(v) <- b
-  done
+  ignore
+    (Scamv_util.Splitmix.fill_bools (Scamv_util.Splitmix.of_seed seed) t.phase 1 t.nvars
+      : Scamv_util.Splitmix.t)

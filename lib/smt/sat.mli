@@ -22,7 +22,13 @@
     across queries: every unassigned zero-activity variable has an id at
     or above it, an invariant [new_var] and backtracking maintain.
     Clause intake normalizes in a solver-owned scratch buffer, so
-    {!add_clause2} and {!add_clause3} allocate nothing per clause.
+    {!add_clause2} and {!add_clause3} allocate nothing per clause; when
+    their literals are unassigned and over distinct variables (a fresh
+    Tseitin gate) normalization is just the sort.  Long (blocking)
+    clauses are heap sorted in place.  Every [int] array is copied by a
+    typed loop, never the polymorphic [Array.blit], whose [caml_modify]
+    per word would charge a write barrier for each copied int once the
+    array is on the major heap.
     Learnt clauses carry an LBD score (Audemard & Simon) and a recency
     activity; every ~2000 conflicts the learnt database is reduced,
     keeping glue clauses (LBD <= 2) and locked clauses and deleting the
@@ -83,7 +89,7 @@ val add_clause2 : t -> lit -> lit -> unit
 val add_clause3 : t -> lit -> lit -> lit -> unit
 (** [add_clause2 t a b] and [add_clause3 t a b c] are [add_clause t [a; b]]
     and [add_clause t [a; b; c]] without building the list: the same
-    normalization, the same watched literals, no allocation.  The
+    stored clause, the same watched literals, no allocation.  The
     bit-blaster's Tseitin encodings go through them. *)
 
 val push : t -> unit
@@ -149,7 +155,9 @@ val root_value : t -> int -> int
     model minimizer skip bits whose value is no longer free. *)
 
 val randomize_phases : t -> int64 -> unit
-(** Re-seed saved phases randomly; used by diversified enumeration. *)
+(** Re-seed saved phases randomly; used by diversified enumeration.  The
+    phase of variable [v] is the [v]th draw of {!Scamv_util.Splitmix.bool}
+    from the seed, filled without allocation. *)
 
 val reset_phases : t -> unit
 (** Forget saved phases, restoring the default polarity.  Model

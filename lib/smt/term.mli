@@ -65,7 +65,6 @@ val hash : t -> int
 
 val tt : t
 val ff : t
-val bool_const : bool -> t
 val bool_var : string -> t
 val bv_var : string -> int -> t
 val mem_var : string -> t

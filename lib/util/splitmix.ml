@@ -7,7 +7,8 @@ type t = { seed : int64; gamma : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+(* Inlined so that [fill_bools] keeps its loop unboxed. *)
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -55,6 +56,19 @@ let int_in g lo hi =
 let bool g =
   let v, g = next g in
   (Int64.compare (Int64.logand v 1L) 0L <> 0, g)
+
+(* [bool] iterated, with the state held in an unboxed local: no
+   allocation per element. *)
+let fill_bools g a pos len =
+  if pos < 0 || len < 0 || pos > Array.length a - len then
+    invalid_arg "Splitmix.fill_bools: range out of bounds";
+  let gamma = g.gamma in
+  let seed = ref g.seed in
+  for i = pos to pos + len - 1 do
+    seed := Int64.add !seed gamma;
+    Array.unsafe_set a i (Int64.logand (mix64 !seed) 1L <> 0L)
+  done;
+  { g with seed = !seed }
 
 let float g =
   let v, g = next g in

@@ -28,6 +28,13 @@ val int_in : t -> int -> int -> int * t
 val bool : t -> bool * t
 (** Uniform boolean. *)
 
+val fill_bools : t -> bool array -> int -> int -> t
+(** [fill_bools g a pos len] stores [len] booleans in [a.(pos)] ..
+    [a.(pos + len - 1)] and returns the next state: the same values and
+    state as [len] iterated calls of {!bool}, without allocating per
+    element.
+    @raise Invalid_argument if the range is not within [a]. *)
+
 val float : t -> float * t
 (** Uniform float in [\[0, 1)]. *)
 

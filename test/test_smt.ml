@@ -429,14 +429,21 @@ let test_propagation_allocation () =
 (* Clause intake: the list entry point and the fixed-arity ones share one
    normalization (sort, dedupe, tautology and root-true drop, root-false
    strip, unit path, watch choice), so twin solvers fed the same clauses
-   through either must walk the same search.  Literals come from a small
-   variable pool so duplicates and complementary pairs are common, unit
-   clauses fix some variables at the root first, and the second batch
-   arrives after a solve (decision level > 0, possibly inside a scope). *)
+   through either must walk the same search.  The fixed-arity ones skip
+   the normalization when every literal is unassigned and no two share a
+   variable (the fresh-clause path), so the first batch arrives at level
+   0 before any unit, where every clause over distinct variables takes
+   that path.  Literals come from a variable pool small enough that
+   duplicates and complementary pairs are common, unit clauses then fix
+   some variables at the root, and the last batch arrives after a solve
+   (decision level > 0, possibly inside a scope).  [intake_fresh] counts
+   the first batch's fresh clauses over a run of the property. *)
+let intake_fresh = ref 0
+
 let prop_clause_intake_twins =
   QCheck.Test.make ~name:"add_clause2/3 match add_clause on twin solvers"
     ~count:300
-    QCheck.(triple (int_bound 1000000) (int_range 2 10) (int_range 2 40))
+    QCheck.(triple (int_bound 1000000) (int_range 2 16) (int_range 2 40))
     (fun (seed, nvars, nclauses) ->
       let module Sm = Scamv_util.Splitmix in
       let rng = ref (Sm.of_seed (Int64.of_int seed)) in
@@ -453,8 +460,14 @@ let prop_clause_intake_twins =
       in
       let units = List.init (next 3) (fun _ -> [ lit () ]) in
       let gen () = List.init (2 + next 2) (fun _ -> lit ()) in
-      let first = List.init (nclauses / 2) (fun _ -> gen ()) in
-      let second = List.init (nclauses - (nclauses / 2)) (fun _ -> gen ()) in
+      let fresh = List.init (nclauses / 3) (fun _ -> gen ()) in
+      let first = List.init (nclauses / 3) (fun _ -> gen ()) in
+      let second = List.init (nclauses - (2 * (nclauses / 3))) (fun _ -> gen ()) in
+      let distinct_vars c =
+        let vs = List.map Sat.var_of c in
+        List.length (List.sort_uniq Int.compare vs) = List.length vs
+      in
+      intake_fresh := !intake_fresh + List.length (List.filter distinct_vars fresh);
       let scoped = next 2 = 1 in
       let add_b = function
         | [ x ] -> Sat.add_clause b [ x ]
@@ -475,7 +488,8 @@ let prop_clause_intake_twins =
         ra = rb && stats a = stats b
       in
       let twins_agree =
-        round (units @ first)
+        round fresh
+        && round (units @ first)
         && begin
              if scoped then begin
                Sat.push a;
@@ -484,9 +498,68 @@ let prop_clause_intake_twins =
              round second
            end
       in
-      let all = units @ first @ second in
+      let all = fresh @ units @ first @ second in
       let expected = brute_force_sat nvars all in
       twins_agree && Bool.equal expected (Sat.solve a = Sat.Sat))
+
+(* Long clauses (blocking clauses) are sorted in place before
+   normalization, so a clause given shuffled and with repeated literals
+   must become exactly the clause given sorted and deduplicated.  Twin
+   solvers enumerate the models of a random 3-CNF over 17-24 variables,
+   blocking each model with a clause over every variable: one solver gets
+   each blocking clause sorted, the other shuffled with repeats.  Both
+   must walk the same search, through up to 40 models. *)
+let prop_long_clause_sort =
+  QCheck.Test.make ~name:"long clauses normalize like their sorted form" ~count:100
+    QCheck.(triple (int_bound 1000000) (int_range 17 24) (int_range 20 90))
+    (fun (seed, nvars, nclauses) ->
+      let module Sm = Scamv_util.Splitmix in
+      let rng = ref (Sm.of_seed (Int64.of_int seed)) in
+      let next n =
+        let v, r = Sm.int !rng n in
+        rng := r;
+        v
+      in
+      let a = Sat.create ~seed:5L () and b = Sat.create ~seed:5L () in
+      let vars = Array.init nvars (fun _ -> ignore (Sat.new_var b); Sat.new_var a) in
+      let lit () =
+        let v = vars.(next nvars) in
+        if next 2 = 1 then Sat.neg_of_var v else Sat.pos v
+      in
+      for _ = 1 to nclauses do
+        let c = List.init 3 (fun _ -> lit ()) in
+        Sat.add_clause a c;
+        Sat.add_clause b c
+      done;
+      let stats s =
+        ( Sat.stats_conflicts s,
+          Sat.stats_decisions s,
+          Sat.stats_propagations s,
+          Array.map (Sat.value s) vars )
+      in
+      let rec enumerate k =
+        let ra = Sat.solve a and rb = Sat.solve b in
+        if ra <> rb || stats a <> stats b then false
+        else if ra <> Sat.Sat || k = 40 then true
+        else begin
+          let block =
+            Array.to_list
+              (Array.map (fun v -> if Sat.value a v then Sat.neg_of_var v else Sat.pos v) vars)
+          in
+          let repeated = block @ List.filteri (fun i _ -> i mod 3 = 0) block in
+          Sat.add_clause a (List.sort Int.compare block);
+          Sat.add_clause b (fst (Sm.shuffle (Sm.of_seed (Int64.of_int (next 1000))) repeated));
+          enumerate (k + 1)
+        end
+      in
+      enumerate 0)
+
+let test_clause_intake_twins () =
+  intake_fresh := 0;
+  QCheck.Test.check_exn ~rand:(QCheck_base_runner.random_state ()) prop_clause_intake_twins;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d clauses over distinct unassigned variables" !intake_fresh)
+    true (!intake_fresh > 0)
 
 let test_intake_allocation () =
   (* Tseitin-shaped 3-literal intake on a warmed solver: every clause is
@@ -517,6 +590,73 @@ let test_intake_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words for %d three-literal clauses" delta measured)
     true (delta < 16.)
+
+(* Minor and major words allocated by [f ()]. *)
+let alloc_words f =
+  let mi0, _, ma0 = Gc.counters () in
+  f ();
+  let mi1, _, ma1 = Gc.counters () in
+  (mi1 -. mi0, ma1 -. ma0)
+
+let test_phase_draw_allocation () =
+  (* A diversified draw refills every saved phase from the session seed:
+     the generator state stays unboxed in the fill loop, so the draw
+     allocates nothing per variable. *)
+  let s = Sat.create () in
+  for _ = 1 to 10_000 do
+    ignore (Sat.new_var s)
+  done;
+  Sat.randomize_phases s 7L;
+  let minor, major = alloc_words (fun () -> Sat.randomize_phases s 2021L) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 10000 phases" minor)
+    true (minor < 16.);
+  Alcotest.(check (float 0.)) "major words" 0. major
+
+let test_long_clause_allocation () =
+  (* A blocking-clause-sized clause is sorted in place in the intake
+     buffer and copied into the arena by a typed loop, so once the arena,
+     the clause index and the two watch vectors have room it allocates
+     nothing.  Warm-up: eight clauses over other variables grow the arena
+     (1024 words at creation) past what twelve 600-literal clauses need,
+     and three copies of the measured clause grow the watch vectors of
+     its two smallest literals to room for four watchers. *)
+  let s = Sat.create () in
+  let vars = Array.init 1200 (fun _ -> Sat.new_var s) in
+  let clause off = List.init 600 (fun i -> Sat.neg_of_var vars.(off + ((i * 7) mod 600))) in
+  for _ = 1 to 8 do
+    Sat.add_clause s (clause 600)
+  done;
+  let c = clause 0 in
+  for _ = 1 to 3 do
+    Sat.add_clause s c
+  done;
+  let minor, major = alloc_words (fun () -> Sat.add_clause s c) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for a 600-literal clause" minor)
+    true (minor < 16.);
+  Alcotest.(check (float 0.)) "major words" 0. major
+
+let test_growth_allocation () =
+  (* Growing a solver from 16 to 100k variables doubles every
+     per-variable array 13 times, each doubling one allocation and one
+     copy.  A doubling series allocates less than twice its final size:
+     2^17 slots for each of the 12 per-variable arrays, 2^18 for the two
+     per-literal ones; the bound allows 5% over that for block headers
+     and promoted small arrays.  Presizing, or a temporary copy of any
+     array at each growth, exceeds it. *)
+  let n = 100_000 in
+  let _, major =
+    alloc_words (fun () ->
+        let s = Sat.create () in
+        for _ = 1 to n do
+          ignore (Sat.new_var s)
+        done)
+  in
+  let bound = 2.1 *. float_of_int ((12 * (1 lsl 17)) + (2 * (1 lsl 18))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words to grow to %d variables (bound %.0f)" major n bound)
+    true (major < bound)
 
 let test_decision_allocation () =
   (* A conflict-free solve allocates nothing per decision: branching
@@ -622,6 +762,39 @@ let test_search_identity_pipeline () =
       ("sat.decisions", 48645);
       ("sat.propagations", 506921);
       ("sat.queries", 945);
+    ]
+    work
+
+let test_search_identity_diversified () =
+  (* AArch64 template A, Mct vs Mspec: a refined setup, so every model is
+     drawn diversified — [Sat.randomize_phases] reseeds the saved phases
+     before each draw and no minimizer runs.  The only pin whose search
+     depends on the phase draw. *)
+  let module Workload = Scamv_service.Workload in
+  let isa = Scamv_arch.Isa.Aarch64 in
+  let ok = function Ok v -> v | Error m -> Alcotest.fail m in
+  let template = ok (Workload.lookup_template ~isa "A") in
+  let setup = ok (Workload.lookup_setup "mct-vs-mspec") in
+  let { Scamv_gen.Templates.program; _ }, _ =
+    Scamv_gen.Gen.run template (Scamv_util.Splitmix.of_seed 2021L)
+  in
+  let cfg = Scamv.Pipeline.default_config ~isa setup in
+  Alcotest.(check bool) "refined setup draws diversified models" true
+    cfg.Scamv.Pipeline.diversify;
+  let work =
+    sat_work (fun () ->
+        let session = Scamv.Pipeline.prepare ~seed:2021L cfg program in
+        for _ = 1 to 12 do
+          ignore (Scamv.Pipeline.next_test_case session : Scamv.Pipeline.progress)
+        done)
+  in
+  Alcotest.(check (list (pair string int)))
+    "AArch64 template A mct-vs-mspec work totals"
+    [
+      ("sat.conflicts", 113);
+      ("sat.decisions", 5176);
+      ("sat.propagations", 30471);
+      ("sat.queries", 23);
     ]
     work
 
@@ -1126,11 +1299,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_push_pop_matches_brute_force;
           Alcotest.test_case "propagation allocation bounded" `Quick
             test_propagation_allocation;
-          QCheck_alcotest.to_alcotest prop_clause_intake_twins;
+          Alcotest.test_case "add_clause2/3 match add_clause on twin solvers" `Quick
+            test_clause_intake_twins;
+          QCheck_alcotest.to_alcotest prop_long_clause_sort;
           Alcotest.test_case "clause intake allocation-free" `Quick
             test_intake_allocation;
           Alcotest.test_case "decisions allocation-free" `Quick
             test_decision_allocation;
+          Alcotest.test_case "phase draw allocation-free" `Quick
+            test_phase_draw_allocation;
+          Alcotest.test_case "long clause allocation-free" `Quick
+            test_long_clause_allocation;
+          Alcotest.test_case "variable growth allocation" `Quick
+            test_growth_allocation;
         ] );
       ( "solver",
         [
@@ -1176,6 +1357,8 @@ let () =
           Alcotest.test_case "seeded session" `Quick test_search_identity_session;
           Alcotest.test_case "RV64 template C pipeline" `Quick
             test_search_identity_pipeline;
+          Alcotest.test_case "AArch64 template A diversified" `Quick
+            test_search_identity_diversified;
         ] );
       ( "differential",
         [

@@ -104,6 +104,36 @@ let prop_rng_float_range =
       let v, _ = Splitmix.float (Splitmix.of_seed seed) in
       v >= 0.0 && v < 1.0)
 
+(* [fill_bools] is [bool] iterated: the same values in the given range,
+   nothing outside it, and the same next state. *)
+let prop_rng_fill_bools =
+  QCheck.Test.make ~name:"fill_bools matches iterated bool" ~count:500
+    QCheck.(triple int64 (int_bound 300) (pair small_nat small_nat))
+    (fun (seed, size, (a, b)) ->
+      let pos = if size = 0 then 0 else a mod (size + 1) in
+      let len = if size = pos then 0 else b mod (size - pos + 1) in
+      let g = Splitmix.of_seed seed in
+      let filled = Array.make size false in
+      let g_fill = Splitmix.fill_bools g filled pos len in
+      let expected = Array.make size false in
+      let g_iter = ref g in
+      for i = pos to pos + len - 1 do
+        let v, g' = Splitmix.bool !g_iter in
+        expected.(i) <- v;
+        g_iter := g'
+      done;
+      filled = expected && fst (Splitmix.next g_fill) = fst (Splitmix.next !g_iter))
+
+let test_rng_fill_bools_bounds () =
+  let a = Array.make 4 false and g = Splitmix.of_seed 1L in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Splitmix.fill_bools: range out of bounds")
+        (fun () -> ignore (Splitmix.fill_bools g a pos len)))
+    [ (-1, 1); (0, 5); (3, 2); (2, -1) ]
+
 (* ---- Json edge cases ---- *)
 
 let test_json_unicode_escapes () =
@@ -381,6 +411,8 @@ let () =
           Alcotest.test_case "choose" `Quick test_rng_choose;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           QCheck_alcotest.to_alcotest prop_rng_float_range;
+          QCheck_alcotest.to_alcotest prop_rng_fill_bools;
+          Alcotest.test_case "fill_bools bounds" `Quick test_rng_fill_bools_bounds;
         ] );
       ( "json",
         [
