@@ -25,6 +25,9 @@ smoke_run = $(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) $(2) > $(1).out && cat $(
 	&& test "$$(grep -c '^|' $(1).out)" = 2 \
 	&& { grep '^|' $(1).out | tail -n 1 | cut -d'|' -f3-12; grep '^uarch:' $(1).out; } > $(1).counts
 
+# Then the catalogue commands on both ISAs, with a partition setup and a
+# refined one, and an out-of-range count, which must be a usage error
+# (exit 124) rather than a crash (125).
 smoke: build
 	$(call smoke_run,smoke.a64.j1,--jobs 1)
 	$(call smoke_run,smoke.a64.j4,--jobs 4)
@@ -32,6 +35,12 @@ smoke: build
 	$(call smoke_run,smoke.rv64.j1,--isa riscv --jobs 1)
 	$(call smoke_run,smoke.rv64.j4,--isa riscv --jobs 4)
 	cmp smoke.rv64.j1.counts smoke.rv64.j4.counts
+	$(DUNE) exec bin/scamv_cli.exe -- models > /dev/null
+	for isa in aarch64 riscv; do for setup in mpart-unguided mct-vs-mspec; do \
+		$(DUNE) exec bin/scamv_cli.exe -- show --isa $$isa -t C -m $$setup \
+			> /dev/null || exit 1; done; done
+	$(DUNE) exec bin/scamv_cli.exe -- campaign --programs=0 2> /dev/null; \
+		test $$? = 124
 
 check: build test smoke
 

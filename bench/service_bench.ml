@@ -199,21 +199,14 @@ let stream ~port id =
 (* Run the same campaign the service would, directly through
    Campaign.run, and return (journal file bytes, expected record lines). *)
 let batch_reference s ~seed =
-  let template =
-    match Workload.lookup_template s.template with
-    | Ok t -> t
-    | Error e -> fail "batch reference: %s" e
-  in
-  let setup =
-    match Workload.lookup_setup s.setup with
-    | Ok m -> m
-    | Error e -> fail "batch reference: %s" e
-  in
   let cfg =
-    Campaign.make
-      ~name:(Workload.campaign_name ~setup:s.setup ~template:s.template)
-      ~template ~setup ~view:(Workload.view_for s.setup) ~programs:s.programs
-      ~tests_per_program:s.tests ~seed ~clock:Stopwatch.frozen ()
+    match
+      Workload.config ~template:s.template ~setup:s.setup
+        ~isa:(`Single Scamv_arch.Isa.Aarch64) ~programs:s.programs
+        ~tests:s.tests ~seed ~clock:Stopwatch.frozen ()
+    with
+    | Ok cfg -> cfg
+    | Error e -> fail "batch reference: %s" e
   in
   let path = Filename.temp_file "scamv-service-ref" ".journal" in
   Sys.remove path;

@@ -5,47 +5,15 @@
    scamv models                                           list models/setups
 *)
 
-module Ast = Scamv_isa.Ast
 module Isa = Scamv_arch.Isa
-module Platform = Scamv_isa.Platform
-module Executor = Scamv_microarch.Executor
 module Refinement = Scamv_models.Refinement
-module Region = Scamv_models.Region
 module Templates = Scamv_gen.Templates
 module Gen = Scamv_gen.Gen
 module Campaign = Scamv.Campaign
 module Pipeline = Scamv.Pipeline
 module Stats = Scamv.Stats
+module Workload = Scamv_service.Workload
 open Cmdliner
-
-let platform = Platform.cortex_a53
-
-(* ---- setups ---- *)
-
-let region = Region.paper_unaligned platform
-let region_pa = Region.paper_page_aligned platform
-
-let setups =
-  [
-    ("mct-unguided", fun () -> Refinement.mct_unguided);
-    ("mct-vs-mspec", fun () -> Refinement.mct_vs_mspec ());
-    ("mspec1-vs-mspec", fun () -> Refinement.mspec1_vs_mspec ());
-    ("mct-vs-mspec-sl", fun () -> Refinement.mct_vs_mspec_straight_line ());
-    ("mpart-unguided", fun () -> Refinement.mpart_unguided platform region);
-    ("mpart-vs-mpart'", fun () -> Refinement.mpart_vs_mpart' platform region);
-    ("mpart-pa-unguided", fun () -> Refinement.mpart_unguided platform region_pa);
-    ("mpart-pa-vs-mpart'", fun () -> Refinement.mpart_vs_mpart' platform region_pa);
-  ]
-
-let default_view name =
-  if String.length name >= 5 && String.sub name 0 5 = "mpart" then
-    if String.length name >= 8 && String.sub name 0 8 = "mpart-pa" then
-      Executor.Region
-        { first_set = region_pa.Region.first_set; last_set = region_pa.Region.last_set }
-    else
-      Executor.Region
-        { first_set = region.Region.first_set; last_set = region.Region.last_set }
-  else Executor.Full_cache
 
 (* ---- common options ---- *)
 
@@ -56,7 +24,7 @@ let template_arg =
 let setup_arg =
   let doc =
     "Validation setup (model under validation and refinement): "
-    ^ String.concat ", " (List.map fst setups)
+    ^ String.concat ", " (List.map fst Workload.setups)
     ^ "."
   in
   Arg.(value & opt string "mct-vs-mspec" & info [ "setup"; "m" ] ~docv:"SETUP" ~doc)
@@ -69,21 +37,8 @@ let isa_arg =
   let doc = "Guest instruction set: aarch64 or riscv." in
   Arg.(value & opt string "aarch64" & info [ "isa" ] ~docv:"ISA" ~doc)
 
-let lookup_setup name =
-  match List.assoc_opt name setups with
-  | Some s -> Ok (s ())
-  | None -> Error (`Msg ("unknown setup " ^ name ^ "; see `scamv models`"))
-
-let lookup_isa name =
-  match Isa.of_string name with Ok isa -> Ok isa | Error msg -> Error (`Msg msg)
-
-let lookup_template ?isa name =
-  match Templates.by_name ?isa name with
-  | t -> Ok t
-  | exception Invalid_argument msg -> Error (`Msg msg)
-
-(* Budget flags take 0 (or less) for "no budget". *)
-let positive n = if n > 0 then Some n else None
+(* Catalogue and range errors become cmdliner usage errors (exit 124). *)
+let usage r = Result.map_error (fun m -> `Msg m) r
 
 (* ---- campaign command ---- *)
 
@@ -228,9 +183,7 @@ let campaign_cmd =
       resume max_conflicts max_attempts confirm fault_rate fault_seed
       deadline_conflicts chaos_rate chaos_seed portfolio jobs trace metrics =
     let ( let* ) = Result.bind in
-    let* isa = lookup_isa isa_name in
-    let* template = lookup_template ~isa template_name in
-    let* setup = lookup_setup setup_name in
+    let* isa = usage (Isa.of_string isa_name) in
     let* () =
       if fault_rate < 0.0 || fault_rate > 1.0 then
         Error (`Msg "--fault-rate must be within [0, 1]")
@@ -243,11 +196,6 @@ let campaign_cmd =
     in
     let* () =
       if jobs < 0 then Error (`Msg "--jobs must be at least 0") else Ok ()
-    in
-    let* () =
-      if deadline_conflicts < 0 then
-        Error (`Msg "--deadline-conflicts must be at least 0")
-      else Ok ()
     in
     let* () =
       if chaos_rate < 0.0 || chaos_rate > 1.0 then
@@ -269,7 +217,6 @@ let campaign_cmd =
           Error (`Msg (Printf.sprintf "--resume %s: %s" path msg))
         | Sys_error msg -> Error (`Msg msg))
     in
-    let name = Printf.sprintf "%s on template %s" setup_name template_name in
     let retry = Scamv.Retry.make ~max_attempts ~confirm () in
     let faults =
       if fault_rate > 0.0 then
@@ -281,17 +228,13 @@ let campaign_cmd =
         Some (Scamv_util.Chaos.create ~rate:chaos_rate ~seed:chaos_seed ())
       else None
     in
-    let* () =
-      if portfolio < 1 then
-        Error (`Msg "--portfolio must be at least 1")
-      else Ok ()
+    let* cfg =
+      usage
+        (Workload.config ~template:template_name ~setup:setup_name
+           ~isa:(`Single isa) ~programs ~tests ~seed ~max_conflicts
+           ~deadline_conflicts ~portfolio ~retry ?faults ?chaos ())
     in
-    let cfg =
-      Campaign.make ~name ~isa ~template ~setup ~view:(default_view setup_name)
-        ~programs ~tests_per_program:tests ~seed
-        ?max_conflicts:(positive max_conflicts) ~portfolio ~retry ?faults
-        ?deadline_conflicts:(positive deadline_conflicts) ?chaos ()
-    in
+    let name = cfg.Campaign.name in
     let on_event = if verbose then print_endline else fun _ -> () in
     let journal = Scamv.Journal.create ?path:csv ?chaos () in
     let outcome = Campaign.run ~on_event ~journal ?resume ~jobs cfg in
@@ -350,9 +293,9 @@ let campaign_cmd =
 let show_cmd =
   let run template_name setup_name isa_name seed =
     let ( let* ) = Result.bind in
-    let* isa = lookup_isa isa_name in
-    let* template = lookup_template ~isa template_name in
-    let* setup = lookup_setup setup_name in
+    let* isa = usage (Isa.of_string isa_name) in
+    let* template = usage (Workload.lookup_template ~isa template_name) in
+    let* setup = usage (Workload.lookup_setup setup_name) in
     let { Templates.program; template_name = name } = Gen.generate ~seed template in
     let annotated =
       match program with
@@ -442,29 +385,18 @@ let diff_cmd =
   let run template_name setup_name programs tests seed verbose csv max_conflicts
       portfolio jobs frozen =
     let ( let* ) = Result.bind in
-    (* Both ISAs must know the template; checking each side up front turns
-       a mid-run Invalid_argument into a proper usage error. *)
-    let* template = lookup_template ~isa:Isa.Aarch64 template_name in
-    let* _ = lookup_template ~isa:Isa.Riscv template_name in
-    let* setup = lookup_setup setup_name in
     let* () =
       if jobs < 0 then Error (`Msg "--jobs must be at least 0") else Ok ()
     in
-    let* () =
-      if portfolio < 1 then Error (`Msg "--portfolio must be at least 1")
-      else Ok ()
-    in
-    let name = Printf.sprintf "%s on template %s" setup_name template_name in
     let clock =
       if frozen then Scamv_util.Stopwatch.frozen else Scamv_util.Stopwatch.wall
     in
-    (* [Diff.run] instantiates the template per side; the AArch64 config
-       only carries the shared campaign parameters. *)
-    let cfg =
-      Campaign.make ~name ~template ~setup ~view:(default_view setup_name)
-        ~programs ~tests_per_program:tests ~seed
-        ?max_conflicts:(positive max_conflicts) ~portfolio ~clock ()
+    let* cfg =
+      usage
+        (Workload.config ~template:template_name ~setup:setup_name ~isa:`Diff
+           ~programs ~tests ~seed ~max_conflicts ~portfolio ~clock ())
     in
+    let name = cfg.Campaign.name in
     let on_event = if verbose then print_endline else fun _ -> () in
     let journal = Scamv.Journal.create ?path:csv () in
     let outcome =
@@ -522,15 +454,10 @@ let models_cmd =
     List.iter
       (fun (m : Scamv_models.Model.t) ->
         Printf.printf "  %-8s %s\n" m.Scamv_models.Model.name m.Scamv_models.Model.description)
-      (Scamv_models.Catalog.all_static platform region
-      @ [
-          Scamv_models.Catalog.mspec ();
-          Scamv_models.Catalog.mspec1 ();
-          Scamv_models.Catalog.mspec_straight_line ();
-        ]);
+      (Workload.models ());
     print_endline "";
     print_endline "Validation setups (--setup):";
-    List.iter (fun (name, _) -> Printf.printf "  %s\n" name) setups;
+    List.iter (fun (name, _) -> Printf.printf "  %s\n" name) Workload.setups;
     Ok ()
   in
   let info = Cmd.info "models" ~doc:"List the available models and validation setups." in

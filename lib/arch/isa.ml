@@ -1,6 +1,5 @@
 type t = Aarch64 | Riscv
 
-let all = [ Aarch64; Riscv ]
 let equal = ( = )
 let to_string = function Aarch64 -> "aarch64" | Riscv -> "riscv"
 

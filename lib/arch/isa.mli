@@ -8,7 +8,6 @@
 
 type t = Aarch64 | Riscv
 
-val all : t list
 val equal : t -> t -> bool
 val to_string : t -> string
 

@@ -15,13 +15,9 @@ let no_hooks =
     on_branch = (fun ~pc:_ ~cond:_ -> []);
   }
 
-(* Re-exported lowerings: the AArch64 pieces moved into [Arch] with the
-   descriptor, but the speculation instrumentation and existing callers
-   still reach them through this module. *)
-let operand_term = Arch.operand_term
-let address_term = Arch.address_term
+(* Re-exported lowering: the AArch64 pieces moved into [Arch] with the
+   descriptor. *)
 let cond_term = Arch.cond_term
-let instr_assigns = Arch.instr_assigns
 
 let lift_validated ~hooks arch program =
   (match arch.Arch.validate program with

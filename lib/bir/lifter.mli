@@ -24,20 +24,9 @@ type hooks = {
 val no_hooks : hooks
 (** Produce no observations (the bare architectural model). *)
 
-val operand_term : Scamv_isa.Ast.operand -> Scamv_smt.Term.t
-val address_term : Scamv_isa.Ast.addressing -> Scamv_smt.Term.t
-(** Address expression over the canonical register variables. *)
-
 val cond_term : Scamv_isa.Ast.cond -> Scamv_smt.Term.t
-(** Condition-code predicate over the canonical flag variables. *)
-
-val instr_assigns : Scamv_isa.Ast.instr -> (string * Scamv_smt.Term.t) list
-(** The state updates of one instruction over canonical variables, in
-    order.  Branches and nop yield no assignments.  Reused by the
-    speculation instrumentation with shadow renaming.
-
-    These four are the AArch64 lowerings of {!Arch.aarch64}, re-exported
-    for compatibility. *)
+(** Condition-code predicate over the canonical flag variables: the
+    AArch64 lowering of {!Arch.aarch64}, re-exported. *)
 
 val lift_arch : ?hooks:hooks -> 'i Arch.t -> 'i array -> Program.t
 (** Lift a program of any described architecture.

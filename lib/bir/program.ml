@@ -73,5 +73,3 @@ let pp ppf t =
       Format.fprintf ppf "  %a@," pp_terminator b.term)
     t.blocks;
   Format.fprintf ppf "@]"
-
-let to_string t = Format.asprintf "%a" pp t

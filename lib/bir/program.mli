@@ -40,7 +40,4 @@ val map_blocks : (block -> block) -> t -> t
 val add_blocks : block list -> t -> t
 (** Add new blocks (fresh ids) to the program. *)
 
-val successors : block -> int list
-
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

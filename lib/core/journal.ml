@@ -279,24 +279,6 @@ let to_csv t =
   List.iter (fun ev -> Buffer.add_string buf (event_row ev)) (events t);
   Buffer.contents buf
 
-(* Checkpoints are written atomically: the content lands in a temp file in
-   the destination directory and is renamed over the target, so a crash
-   mid-checkpoint leaves either the old complete file or the new one,
-   never a torn hybrid. *)
-let write_atomic ~path content =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".scamv-journal" ".tmp" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc content);
-      Sys.rename tmp path)
-
-let write_csv t ~path = write_atomic ~path (to_csv t)
-
 (* ---- parsing ---- *)
 
 exception Parse_error of string
@@ -485,24 +467,12 @@ let parse_v2 content =
   done;
   (t, { records = !records; dropped_bytes = n - !pos })
 
-let of_string content =
-  if is_v2 content then begin
-    let t, recovery = parse_v2 content in
-    if recovery.dropped_bytes > 0 then
-      raise
-        (Parse_error
-           (Printf.sprintf "corrupt journal tail: %d trailing byte(s) after %d clean record(s)"
-              recovery.dropped_bytes recovery.records));
-    t
-  end
-  else of_csv content
-
 let of_string_tolerant content =
   if is_v2 content then parse_v2 content
   else
-    (* v1 CSV checkpoints are only ever written atomically and completely
-       (write_csv), so there is no torn tail to recover from: parse
-       strictly and report a clean recovery. *)
+    (* v1 plain-CSV files were only ever written whole, by earlier
+       builds, so there is no torn tail to recover from: parse strictly
+       and report a clean recovery. *)
     let t = of_csv content in
     (t, { records = List.length (events t); dropped_bytes = 0 })
 
@@ -512,5 +482,4 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let read_csv ~path = of_string (read_file path)
 let load ~path = of_string_tolerant (read_file path)

@@ -11,7 +11,8 @@
     the longest clean prefix and reports what it dropped, so a campaign
     SIGKILLed mid-write still leaves a usable checkpoint (see DESIGN.md,
     "Failure domains and supervision").  v1 plain-CSV checkpoints (the
-    {!to_csv}/{!write_csv} snapshot format) are still read transparently.
+    {!to_csv} format, written by earlier builds) are still read
+    transparently.
 
     Thread-safety: a journal buffers records and owns an output channel
     with no internal locking.  In a parallel campaign it is only ever
@@ -110,24 +111,12 @@ val to_csv : t -> string
     comma-separated, free-form strings (campaign, template, reason)
     quoted. *)
 
-val write_csv : t -> path:string -> unit
-(** Atomic checkpoint (temp file + rename) of {!to_csv}: a crash mid-write
-    leaves either the previous complete file or the new one, never a torn
-    hybrid. *)
-
 exception Parse_error of string
 
 val of_csv : string -> t
 (** Parse a v1 CSV journal back from {!to_csv} output.  Quoting of
     embedded commas, double quotes and newlines round-trips.
     @raise Parse_error on malformed input. *)
-
-val of_string : string -> t
-(** Strict parse of either format (auto-detected by the magic line).
-    @raise Parse_error on any malformation, including a torn v2 tail. *)
-
-val read_csv : path:string -> t
-(** Load a journal (either format) from disk, strictly. *)
 
 type recovery = {
   records : int;  (** clean records recovered *)
@@ -141,7 +130,7 @@ val load : path:string -> t * recovery
     yield a usable journal.  The scan stops at the {e first} damaged
     record (no skipping forward): once one record is suspect nothing
     after it is trusted, and resume only needs a clean prefix.  v1
-    content is parsed strictly (it is only ever written atomically, so
+    content is parsed strictly (earlier builds only wrote it whole, so
     there is no torn tail to tolerate).
     @raise Parse_error only for malformed v1 content. *)
 

@@ -9,6 +9,7 @@ type candidate = {
   setup : Refinement.t;
 }
 
+(* The candidate observing the first [k] transient loads. *)
 let candidate ~window k =
   let spec =
     {

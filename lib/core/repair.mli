@@ -22,9 +22,6 @@ type candidate = {
           are part of the model (Base), the rest drive refinement *)
 }
 
-val candidate : window:int -> int -> candidate
-(** The candidate observing the first [k] transient loads. *)
-
 type step = {
   tried : candidate;
   stats : Stats.t;

@@ -11,7 +11,6 @@ val generate : seed:int64 -> 'a t -> 'a
 val return : 'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
-val both : 'a t -> 'b t -> ('a * 'b) t
 val list : int -> 'a t -> 'a list t
 
 val int_in : int -> int -> int t

@@ -35,7 +35,6 @@ let negate_cond = function
   | Le -> Gt
 
 let is_load = function Ldr _ -> true | _ -> false
-let is_branch = function B_cond _ | B _ -> true | _ -> false
 
 let successors program i =
   let len = Array.length program in

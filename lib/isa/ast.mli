@@ -50,8 +50,6 @@ type program = instr array
 val negate_cond : cond -> cond
 
 val is_load : instr -> bool
-val is_branch : instr -> bool
-(** Conditional or unconditional branch. *)
 
 val successors : program -> int -> int list
 (** Successor instruction indexes of the instruction at the given index;

@@ -103,7 +103,6 @@ let create ?(seed = 0L) cfg =
 let config t = t.cfg
 let cache t = t.cache
 let tlb t = t.tlb
-let predictor t = t.predictor
 
 let reset_cache t =
   Cache.reset t.cache;

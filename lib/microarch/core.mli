@@ -63,7 +63,6 @@ val create : ?seed:int64 -> config -> t
 val config : t -> config
 val cache : t -> Cache.t
 val tlb : t -> Tlb.t
-val predictor : t -> Predictor.t
 val reset_cache : t -> unit
 (** Clears the cache, the prefetcher stream state and the TLB (the
     platform module's pre-run state reset). *)

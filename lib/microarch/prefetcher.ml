@@ -19,8 +19,6 @@ let reset t =
   t.stride <- 0L;
   t.streak <- 1
 
-let threshold t = t.threshold
-
 let observe t ~rng addr =
   let fire_target =
     match t.last with

@@ -22,5 +22,3 @@ val reset : t -> unit
 val observe : t -> rng:Scamv_util.Splitmix.t ref -> int64 -> int64 option
 (** Feed a demand-access address; returns the address to prefetch when the
     stream detector fires. *)
-
-val threshold : t -> int

@@ -28,6 +28,3 @@ let contains_term p { first_set; last_set } addr =
 let contains p { first_set; last_set } addr =
   let s = Platform.set_index p addr in
   first_set <= s && s <= last_set
-
-let pp ppf { first_set; last_set } =
-  Format.fprintf ppf "sets [%d..%d]" first_set last_set

@@ -24,5 +24,3 @@ val contains_term : Scamv_isa.Platform.t -> t -> Scamv_smt.Term.t -> Scamv_smt.T
 
 val contains : Scamv_isa.Platform.t -> t -> int64 -> bool
 (** Concrete [AR(addr)]. *)
-
-val pp : Format.formatter -> t -> unit

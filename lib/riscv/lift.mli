@@ -14,11 +14,6 @@ val reg_var : Ast.reg -> string
 val reg_term : Ast.reg -> Scamv_smt.Term.t
 (** 64-bit variable, or the constant 0 for [x0]. *)
 
-val registers : string list
-(** ["x1" .. "x31"] in machine-slot order: RV64 x[k] occupies slot k-1 of
-    a {!Scamv_isa.Machine.t}, the same convention as the simulated core
-    ([Scamv_microarch.Core.decode]). *)
-
 val arch : Ast.instr Scamv_bir.Arch.t
 
 val lift : ?hooks:Scamv_bir.Lifter.hooks -> Ast.program -> Scamv_bir.Program.t

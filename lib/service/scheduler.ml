@@ -267,21 +267,21 @@ let workload_of_params p =
   | other ->
     Error (Printf.sprintf "unknown isa %s (expected one of: aarch64, riscv, diff)" other)
 
-let build_config t s isa =
+(* The one construction of a request's campaign, shared with the CLI
+   through [Workload.config]: [submit] validates by calling it, and the
+   runner calls it again with the resolved seed, the clock and the
+   session's cancel token. *)
+let build_config ?clock ?cancel ~seed p =
   let ( let* ) = Result.bind in
-  let p = s.Session.params in
-  let* template = Workload.lookup_template ~isa p.Session.template in
-  let* setup = Workload.lookup_setup p.Session.setup in
-  let positive n = if n > 0 then Some n else None in
-  Ok
-    (Campaign.make ~name:s.Session.campaign_name ~isa ~template ~setup
-       ~view:(Workload.view_for p.Session.setup) ~programs:p.Session.programs
-       ~tests_per_program:p.Session.tests_per_program ~seed:s.Session.seed
-       ?max_conflicts:(positive p.Session.max_conflicts)
-       ~portfolio:p.Session.portfolio
-       ?deadline_conflicts:(positive p.Session.deadline_conflicts)
-       ~clock:t.cfg.clock
-       ~cancel:s.Session.cancel ())
+  let* isa = workload_of_params p in
+  let* cfg =
+    Workload.config ~template:p.Session.template ~setup:p.Session.setup ~isa
+      ~programs:p.Session.programs ~tests:p.Session.tests_per_program ~seed
+      ~max_conflicts:p.Session.max_conflicts
+      ~deadline_conflicts:p.Session.deadline_conflicts
+      ~portfolio:p.Session.portfolio ?clock ?cancel ()
+  in
+  Ok (isa, cfg)
 
 let finish_counter = function
   | Session.Completed -> "service.campaigns.completed"
@@ -318,48 +318,43 @@ let run_session t s ~slot =
      | Ok outcome -> publish outcome
      | Error reason -> Session.conclude s (Session.Failed reason) ()
    in
-   match workload_of_params s.Session.params with
+   match
+     build_config ~clock:t.cfg.clock ~cancel:s.Session.cancel
+       ~seed:s.Session.seed s.Session.params
+   with
    | Error msg -> Session.conclude s (Session.Failed msg) ()
-   | Ok (`Single isa) -> (
-     match build_config t s isa with
-     | Error msg -> Session.conclude s (Session.Failed msg) ()
-     | Ok cfg ->
-       let resume =
-         match s.Session.resume_from with
-         | Some p when Sys.file_exists p -> Some p
-         | _ -> None
-       in
-       with_journal (fun journal ->
-           let outcome =
-             Campaign.run ~on_event ~on_record ~journal ?resume ~pool cfg
-           in
-           ( outcome.Campaign.stats,
-             outcome.Campaign.wall_seconds,
-             outcome.Campaign.telemetry )))
-   | Ok `Diff -> (
-     (* [Diff.run] instantiates the template per side; the AArch64
-        config only carries the shared campaign parameters. *)
-     match build_config t s Isa.Aarch64 with
-     | Error msg -> Session.conclude s (Session.Failed msg) ()
-     | Ok cfg ->
-       (* Differential campaigns re-run from scratch after a restart:
-          the comparison needs both sides' full event streams, so a
-          partial journal is not resumed into. *)
-       with_journal (fun journal ->
-           let outcome =
-             Diff.run ~on_event ~on_record ~journal ~pool
-               ~template:s.Session.params.Session.template cfg
-           in
-           let wall =
-             outcome.Diff.aarch64.Campaign.wall_seconds
-             +. outcome.Diff.riscv.Campaign.wall_seconds
-           in
-           let telemetry =
-             Scamv_telemetry.Collector.merge_reports
-               outcome.Diff.aarch64.Campaign.telemetry
-               outcome.Diff.riscv.Campaign.telemetry
-           in
-           (outcome.Diff.stats, wall, telemetry))));
+   | Ok (`Single _, cfg) ->
+     let resume =
+       match s.Session.resume_from with
+       | Some p when Sys.file_exists p -> Some p
+       | _ -> None
+     in
+     with_journal (fun journal ->
+         let outcome =
+           Campaign.run ~on_event ~on_record ~journal ?resume ~pool cfg
+         in
+         ( outcome.Campaign.stats,
+           outcome.Campaign.wall_seconds,
+           outcome.Campaign.telemetry ))
+   | Ok (`Diff, cfg) ->
+     (* Differential campaigns re-run from scratch after a restart: the
+        comparison needs both sides' full event streams, so a partial
+        journal is not resumed into. *)
+     with_journal (fun journal ->
+         let outcome =
+           Diff.run ~on_event ~on_record ~journal ~pool
+             ~template:s.Session.params.Session.template cfg
+         in
+         let wall =
+           outcome.Diff.aarch64.Campaign.wall_seconds
+           +. outcome.Diff.riscv.Campaign.wall_seconds
+         in
+         let telemetry =
+           Scamv_telemetry.Collector.merge_reports
+             outcome.Diff.aarch64.Campaign.telemetry
+             outcome.Diff.riscv.Campaign.telemetry
+         in
+         (outcome.Diff.stats, wall, telemetry)));
   persist_meta s;
   locked t (fun () ->
       evict t s;
@@ -479,25 +474,14 @@ let create ?(config = default_config) ?(start = true) () =
 let submit t ~tenant params =
   let ( let* ) = Result.bind in
   let validated =
-    let* tenant = Result.map_error (fun e -> Invalid e) (Tenant.validate_name tenant) in
-    let* isa_workload =
-      Result.map_error (fun e -> Invalid e) (workload_of_params params)
-    in
-    let* _ =
-      Result.map_error (fun e -> Invalid e)
-        (Workload.lookup_template
-           ?isa:(match isa_workload with `Single i -> Some i | `Diff -> None)
-           params.Session.template)
-    in
-    let* _ =
-      Result.map_error (fun e -> Invalid e)
-        (Workload.lookup_setup params.Session.setup)
-    in
-    Ok tenant
+    let* tenant = Tenant.validate_name tenant in
+    (* The seed is resolved at admission; any seed validates alike. *)
+    let* _, cfg = build_config ~seed:0L params in
+    Ok (tenant, cfg.Campaign.name)
   in
   match validated with
-  | Error e -> Error e
-  | Ok tenant ->
+  | Error e -> Error (Invalid e)
+  | Ok (tenant, campaign_name) ->
     locked t (fun () ->
         if t.stopping then Error Stopped
         else
@@ -518,10 +502,7 @@ let submit t ~tenant params =
             t.submitted <- submitted + 1;
             let journal_path, meta_path = session_paths t.cfg id in
             let s =
-              Session.create ~id ~tenant ~params ~seed
-                ~campaign_name:
-                  (Workload.campaign_name ~setup:params.Session.setup
-                     ~template:params.Session.template)
+              Session.create ~id ~tenant ~params ~seed ~campaign_name
                 ?journal_path ?meta_path ~submitted ~slot ()
             in
             Hashtbl.replace t.sessions id s;
@@ -591,8 +572,6 @@ let drain t =
       while running_count t > 0 || queued_count t > 0 do
         Condition.wait t.idle t.lock
       done)
-
-let stopped t = locked t (fun () -> t.stopping)
 
 let metrics_snapshot t =
   let sources = locked t (fun () -> t.gauge_sources) in

@@ -31,19 +31,17 @@ type config = {
           streamed artifacts fully deterministic *)
 }
 
-val default_config : config
-(** 1 job, concurrency 1, no state dir, {!Tenant.default_quota}, wall
-    clock. *)
-
 type submit_error =
-  | Invalid of string  (** bad tenant name, template or setup -> 400 *)
+  | Invalid of string
+      (** bad tenant name, or a request {!Workload.config} rejects -> 400 *)
   | Busy of Tenant.rejection  (** quota/backlog rejection -> 429 *)
   | Stopped  (** server shutting down -> 503 *)
 
 type t
 
 val create : ?config:config -> ?start:bool -> unit -> t
-(** Build a scheduler; when [config.state_dir] is set, recover previously
+(** Build a scheduler (default: 1 job, concurrency 1, no state dir,
+    {!Tenant.default_quota}, wall clock); when [config.state_dir] is set, recover previously
     persisted sessions first: every meta restores its tenant's sequence
     mark, and unfinished sessions are re-enqueued in original submission
     order with the journal as a resume checkpoint, their slots re-derived
@@ -58,7 +56,8 @@ val concurrency : t -> int
 
 val submit :
   t -> tenant:string -> Session.params -> (Session.t, submit_error) result
-(** Validate, apply the tenant quota, resolve the seed (submitted seed or
+(** Validate (build the campaign through {!Workload.config}), apply the
+    tenant quota, resolve the seed (submitted seed or
     the tenant namespace draw) and the runner slot, persist the session
     meta and enqueue. *)
 
@@ -82,8 +81,6 @@ val cancel : t -> Session.t -> bool
 val drain : t -> unit
 (** Block until no session is queued or running on any slot.  Test/smoke
     helper; requires the runner threads ([start = true]). *)
-
-val stopped : t -> bool
 
 val bump : ?n:int -> t -> string -> unit
 (** Add to a server-side counter (the HTTP layer's request counters).

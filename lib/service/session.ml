@@ -86,28 +86,22 @@ let params_of_json json =
             | _ -> Error "field isa must be a string")
           | "programs" ->
             let* n = int_field key value in
-            if n < 1 || n > 100_000 then Error "field programs must be in [1, 100000]"
-            else Ok { p with programs = n }
+            Ok { p with programs = n }
           | "tests_per_program" ->
             let* n = int_field key value in
-            if n < 1 || n > 100_000 then
-              Error "field tests_per_program must be in [1, 100000]"
-            else Ok { p with tests_per_program = n }
+            Ok { p with tests_per_program = n }
           | "seed" ->
             let* v = seed_field value in
             Ok { p with seed = Some v }
           | "max_conflicts" ->
             let* n = int_field key value in
-            if n < 0 then Error "field max_conflicts must be non-negative"
-            else Ok { p with max_conflicts = n }
+            Ok { p with max_conflicts = n }
           | "deadline_conflicts" ->
             let* n = int_field key value in
-            if n < 0 then Error "field deadline_conflicts must be non-negative"
-            else Ok { p with deadline_conflicts = n }
+            Ok { p with deadline_conflicts = n }
           | "portfolio" ->
             let* n = int_field key value in
-            if n < 1 || n > 64 then Error "field portfolio must be in [1, 64]"
-            else Ok { p with portfolio = n }
+            Ok { p with portfolio = n }
           | "tenant" -> Ok p  (* handled by the server, tolerated here *)
           | other -> Error (Printf.sprintf "unknown field %s" other)
         in
@@ -258,7 +252,6 @@ let set_state t state =
       Condition.broadcast t.changed)
 
 let state t = locked t (fun () -> t.state)
-let finished t = locked t (fun () -> is_terminal t.state)
 
 let slice t from upto =
   let rec collect i acc =

@@ -36,7 +36,10 @@ val params_of_json : Scamv_util.Json.t -> (params, string) result
 (** Decode a [POST /campaigns] body.  Missing fields take defaults,
     unknown fields are rejected (a misspelled knob should 400, not be
     silently ignored).  Seeds are decimal int64 strings (JSON doubles
-    cannot carry 64 bits); small integers are also accepted. *)
+    cannot carry 64 bits); small integers are also accepted.  Only types
+    and shapes are checked here: the range rules for the counts are
+    {!Workload.config}'s, applied when {!Scheduler.submit} builds the
+    campaign. *)
 
 val params_to_json : params -> Scamv_util.Json.t
 
@@ -120,7 +123,6 @@ val conclude :
     every stream ends with it exactly once. *)
 
 val state : t -> state
-val finished : t -> bool
 
 val lines_from : t -> from:int -> string list * int * bool
 (** [(lines, next, terminal)]: the lines at indexes [[from, next)] and

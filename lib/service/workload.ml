@@ -1,16 +1,18 @@
-(* The named workload catalogue: every (template, setup) pair a campaign
-   request may name, resolved to the generator / refinement / executor
-   view the campaign driver needs.  Shared by the batch CLI and the
-   validation service so a campaign submitted over the wire is constructed
-   exactly like one launched from the command line — the prerequisite for
+(* The named workload catalogue and the one place a named campaign
+   request becomes a [Campaign.config].  The batch CLI, the validation
+   service and the service benchmark all build campaigns through
+   [config], so a campaign submitted over the wire is constructed exactly
+   like one launched from the command line — the prerequisite for
    streamed artifacts being byte-identical to a batch run. *)
 
+module Isa = Scamv_arch.Isa
 module Platform = Scamv_isa.Platform
 module Executor = Scamv_microarch.Executor
 module Refinement = Scamv_models.Refinement
 module Region = Scamv_models.Region
+module Catalog = Scamv_models.Catalog
 module Templates = Scamv_gen.Templates
-module Gen = Scamv_gen.Gen
+module Campaign = Scamv.Campaign
 
 let platform = Platform.cortex_a53
 let region = Region.paper_unaligned platform
@@ -28,23 +30,20 @@ let setups =
     ("mpart-pa-vs-mpart'", fun () -> Refinement.mpart_vs_mpart' platform region_pa);
   ]
 
-let setup_names = List.map fst setups
+let models () =
+  Catalog.all_static platform region
+  @ [ Catalog.mspec (); Catalog.mspec1 (); Catalog.mspec_straight_line () ]
 
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
 let view_for name =
-  if has_prefix ~prefix:"mpart" name then
-    if has_prefix ~prefix:"mpart-pa" name then
-      Executor.Region
-        {
-          first_set = region_pa.Region.first_set;
-          last_set = region_pa.Region.last_set;
-        }
-    else
-      Executor.Region
-        { first_set = region.Region.first_set; last_set = region.Region.last_set }
+  let watch r =
+    Executor.Region { first_set = r.Region.first_set; last_set = r.Region.last_set }
+  in
+  if has_prefix ~prefix:"mpart-pa" name then watch region_pa
+  else if has_prefix ~prefix:"mpart" name then watch region
   else Executor.Full_cache
 
 let lookup_setup name =
@@ -53,15 +52,48 @@ let lookup_setup name =
   | None ->
     Error
       (Printf.sprintf "unknown setup %s (expected one of: %s)" name
-         (String.concat ", " setup_names))
+         (String.concat ", " (List.map fst setups)))
 
 let lookup_template ?isa name =
   match Templates.by_name ?isa name with
   | t -> Ok t
   | exception Invalid_argument msg -> Error msg
 
-(* The batch CLI's campaign-name formula.  Journal records embed this
-   name, so the service must use the identical spelling for its streams to
-   match batch output byte for byte. *)
+(* Journal records embed the campaign name, so every front end must spell
+   it identically for served streams to match batch output byte for
+   byte. *)
 let campaign_name ~setup ~template =
   Printf.sprintf "%s on template %s" setup template
+
+let in_range what ~lo ~hi n =
+  if n < lo || n > hi then Error (Printf.sprintf "%s must be in [%d, %d]" what lo hi)
+  else Ok ()
+
+let non_negative what n =
+  if n < 0 then Error (what ^ " must be at least 0") else Ok ()
+
+let config ~template ~setup ~isa ~programs ~tests ~seed ?(max_conflicts = 0)
+    ?(deadline_conflicts = 0) ?(portfolio = 1) ?retry ?faults ?chaos ?clock
+    ?cancel () =
+  let ( let* ) = Result.bind in
+  let* () = in_range "programs" ~lo:1 ~hi:100_000 programs in
+  let* () = in_range "tests per program" ~lo:1 ~hi:100_000 tests in
+  let* () = non_negative "max conflicts" max_conflicts in
+  let* () = non_negative "deadline conflicts" deadline_conflicts in
+  let* () = in_range "portfolio" ~lo:1 ~hi:64 portfolio in
+  (* A differential request carries the AArch64 side; [Diff.run]
+     instantiates the template per ISA, so it must exist on both. *)
+  let side = match isa with `Single i -> i | `Diff -> Isa.Aarch64 in
+  let* generator = lookup_template ~isa:side template in
+  let* () =
+    if isa = `Diff then Result.map ignore (lookup_template ~isa:Isa.Riscv template)
+    else Ok ()
+  in
+  let* refinement = lookup_setup setup in
+  let budget n = if n > 0 then Some n else None in
+  Ok
+    (Campaign.make ~name:(campaign_name ~setup ~template) ~isa:side
+       ~template:generator ~setup:refinement ~view:(view_for setup) ~programs
+       ~tests_per_program:tests ~seed ?max_conflicts:(budget max_conflicts)
+       ~portfolio ?retry ?faults ?deadline_conflicts:(budget deadline_conflicts)
+       ?chaos ?clock ?cancel ())

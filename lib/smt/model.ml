@@ -46,15 +46,6 @@ let mem_lookup t m addr =
 let vars t = String_map.bindings t.vars
 let mems t = List.map fst (String_map.bindings t.mems)
 
-let union a b =
-  {
-    vars = String_map.union (fun _ _ v -> Some v) a.vars b.vars;
-    mems =
-      String_map.union
-        (fun _ ca cb -> Some (Int64_map.union (fun _ _ v -> Some v) ca cb))
-        a.mems b.mems;
-  }
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter

@@ -29,7 +29,5 @@ val mem_lookup : t -> string -> int64 -> int64
 
 val vars : t -> (string * value) list
 val mems : t -> string list
-val union : t -> t -> t
-(** Right-biased union, used to merge sub-models. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,9 +16,6 @@ type config = {
   restart_base : int;  (** {!Sat.create}'s [restart_base] *)
 }
 
-val baseline : config
-(** [config 0]: the solver's stock configuration. *)
-
 val config : int -> config
 (** Configuration at a rank.  Total for every non-negative index.
     @raise Invalid_argument on a negative index. *)

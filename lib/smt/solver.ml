@@ -278,10 +278,6 @@ let block_model s raw =
 
 let models_found s = s.count
 
-let stats s =
-  let sat = Blaster.solver s.blaster in
-  (Sat.stats_conflicts sat, Sat.stats_decisions sat, Sat.stats_propagations sat)
-
 let solve ?seed ?default_phase ?graph formulas =
   let s = make_session ?seed ?default_phase ?graph formulas in
   (* No conflict cap is installed, so [Budget_exceeded] cannot occur here. *)

@@ -123,6 +123,3 @@ val block_model : session -> Model.t -> unit
     so a challenger session never re-enumerates a handed-over model. *)
 
 val models_found : session -> int
-
-val stats : session -> int * int * int
-(** (conflicts, decisions, propagations) of the underlying SAT solver. *)

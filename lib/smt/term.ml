@@ -536,26 +536,6 @@ let free_vars t =
   in
   Var_set.elements (go Var_set.empty t)
 
-let rec size = function
-  | True | False | Var _ | Bv_const _ -> 1
-  | Not a | Bv_unop (_, a) | Extract (_, _, a) | Zero_extend (_, a)
-  | Sign_extend (_, a) ->
-    1 + size a
-  | And (a, b)
-  | Or (a, b)
-  | Implies (a, b)
-  | Iff (a, b)
-  | Eq (a, b)
-  | Ult (a, b)
-  | Ule (a, b)
-  | Slt (a, b)
-  | Sle (a, b)
-  | Bv_binop (_, a, b)
-  | Concat (a, b)
-  | Select (a, b) ->
-    1 + size a + size b
-  | Ite (a, b, c) | Store (a, b, c) -> 1 + size a + size b + size c
-
 let binop_name = function
   | Add -> "bvadd"
   | Sub -> "bvsub"

@@ -121,9 +121,6 @@ val subst : (string -> Sort.t -> t option) -> t -> t
 val free_vars : t -> (string * Sort.t) list
 (** Free variables in deterministic (sorted by name) order, no duplicates. *)
 
-val size : t -> int
-(** Number of nodes, for diagnostics. *)
-
 val pp : Format.formatter -> t -> unit
 (** SMT-LIB-flavoured s-expression rendering. *)
 

@@ -70,11 +70,6 @@ let add name n =
 
 let incr name = add name 1
 
-let set_gauge name v =
-  match current () with
-  | None -> ()
-  | Some c -> c.metrics <- Metrics.set_gauge name v c.metrics
-
 let observe name v =
   match current () with
   | None -> ()

@@ -57,13 +57,10 @@ val with_current : t -> (unit -> 'a) -> 'a
     the callback (restoring the previous one afterwards, exceptions
     included). *)
 
-val current : unit -> t option
-
 val add : string -> int -> unit
 (** Add to a counter of the current collector. *)
 
 val incr : string -> unit
-val set_gauge : string -> float -> unit
 
 val observe : string -> float -> unit
 (** Record a histogram observation. *)

@@ -64,7 +64,6 @@ val counter : t -> string -> int
 (** Value of a counter, [0] when absent. *)
 
 val gauge : t -> string -> float option
-val histogram : t -> string -> hist option
 
 val histogram_sum : t -> string -> float
 (** Sum of a histogram's observations, [0.] when absent — the campaign

@@ -35,5 +35,3 @@ let popcount v =
     if Int64.equal v 0L then acc else go (acc + 1) Int64.(logand v (sub v 1L))
   in
   go 0 v
-
-let to_hex v = Printf.sprintf "0x%Lx" v

@@ -31,6 +31,3 @@ val slt : width:int -> int64 -> int64 -> bool
 
 val popcount : int64 -> int
 (** Number of set bits. *)
-
-val to_hex : int64 -> string
-(** Hexadecimal rendering with [0x] prefix. *)

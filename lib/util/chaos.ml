@@ -26,8 +26,6 @@ let create ?(rate = 0.0) ?(seed = 0L) () =
     invalid_arg "Chaos.create: rate must be in [0, 1]";
   { rate; seed; injections = Atomic.make 0 }
 
-let rate t = t.rate
-let seed t = t.seed
 let injections t = Atomic.get t.injections
 
 (* FNV-1a over the site name, so distinct sites with the same key draw

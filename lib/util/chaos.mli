@@ -29,9 +29,6 @@ val create : ?rate:float -> ?seed:int64 -> unit -> t
 (** [rate] (default 0 = chaos off) is the per-roll injection probability.
     @raise Invalid_argument unless [0 <= rate <= 1]. *)
 
-val rate : t -> float
-val seed : t -> int64
-
 val injections : t -> int
 (** Total faults injected so far, across all sites and domains. *)
 

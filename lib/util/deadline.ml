@@ -62,8 +62,6 @@ let create ?(clock = Stopwatch.wall) spec =
     cancelled = Atomic.make false;
   }
 
-let spec t = t.spec
-
 let describe t =
   match t.spec with
   | Conflicts n -> Printf.sprintf "virtual deadline of %d conflicts exceeded" n

@@ -33,7 +33,6 @@ val create : ?clock:Stopwatch.clock -> spec -> t
     matters for {!Wall_seconds}.
     @raise Invalid_argument on a non-positive limit. *)
 
-val spec : t -> spec
 val describe : t -> string
 
 val cancel : t -> unit

@@ -42,5 +42,4 @@ val member : string -> t -> t option
 (** Field of an object ([None] on missing field or non-object). *)
 
 val to_float : t -> float option
-val to_list : t -> t list option
 val to_str : t -> string option

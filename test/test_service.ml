@@ -20,6 +20,7 @@ module Session = Scamv_service.Session
 module Scheduler = Scamv_service.Scheduler
 module Server = Scamv_service.Server
 module Workload = Scamv_service.Workload
+module Isa = Scamv_arch.Isa
 
 let temp_path name =
   let path = Filename.temp_file "scamv_service" name in
@@ -190,6 +191,65 @@ let test_tenant_quota () =
   Tenant.finish ten;
   ok (admit ())
 
+(* ---- workload ---- *)
+
+(* Every front end turns a named request into a campaign through
+   [Workload.config], so its rules are the CLI's and the service's. *)
+let test_workload_config () =
+  let config ?(template = "A") ?(setup = "mct-vs-mspec")
+      ?(isa = `Single Isa.Aarch64) ?(programs = 2) ?(tests = 3) ?max_conflicts
+      ?deadline_conflicts ?portfolio () =
+    Workload.config ~template ~setup ~isa ~programs ~tests ~seed:7L
+      ?max_conflicts ?deadline_conflicts ?portfolio ()
+  in
+  let rejects what r =
+    Alcotest.(check bool) (what ^ " rejected") true (Result.is_error r)
+  in
+  rejects "programs 0" (config ~programs:0 ());
+  rejects "programs -1" (config ~programs:(-1) ());
+  rejects "programs 100001" (config ~programs:100_001 ());
+  rejects "tests 0" (config ~tests:0 ());
+  rejects "tests -3" (config ~tests:(-3) ());
+  rejects "tests 100001" (config ~tests:100_001 ());
+  rejects "max_conflicts -5" (config ~max_conflicts:(-5) ());
+  rejects "deadline_conflicts -1" (config ~deadline_conflicts:(-1) ());
+  rejects "portfolio 0" (config ~portfolio:0 ());
+  rejects "portfolio 65" (config ~portfolio:65 ());
+  rejects "unknown template" (config ~template:"Z9" ());
+  rejects "unknown diff template" (config ~isa:`Diff ~template:"Z9" ());
+  rejects "unknown setup" (config ~setup:"nope" ());
+  (match config ~setup:"nope" () with
+  | Error m ->
+    Alcotest.(check bool) "setup error lists the names" true
+      (List.for_all
+         (fun (name, _) ->
+           let n = String.length m and k = String.length name in
+           let rec has i = i + k <= n && (String.sub m i k = name || has (i + 1)) in
+           has 0)
+         Workload.setups)
+  | Ok _ -> Alcotest.fail "unknown setup accepted");
+  (match
+     config ~setup:"mpart-vs-mpart'" ~isa:(`Single Isa.Riscv) ~programs:100_000
+       ~tests:1 ~max_conflicts:0 ~deadline_conflicts:9 ~portfolio:64 ()
+   with
+  | Error e -> Alcotest.fail e
+  | Ok cfg ->
+    Alcotest.(check string) "name formula" "mpart-vs-mpart' on template A"
+      cfg.Campaign.name;
+    Alcotest.(check bool) "isa" true (cfg.Campaign.isa = Isa.Riscv);
+    Alcotest.(check bool) "partition view" true
+      (cfg.Campaign.view = Workload.view_for "mpart-vs-mpart'");
+    Alcotest.(check bool) "0 conflicts = no budget" true
+      (cfg.Campaign.max_conflicts = None);
+    Alcotest.(check bool) "deadline kept" true
+      (cfg.Campaign.deadline_conflicts = Some 9);
+    Alcotest.(check int) "portfolio" 64 cfg.Campaign.portfolio);
+  match config ~isa:`Diff () with
+  | Error e -> Alcotest.fail e
+  | Ok cfg ->
+    Alcotest.(check bool) "diff carries the AArch64 side" true
+      (cfg.Campaign.isa = Isa.Aarch64)
+
 (* ---- session ---- *)
 
 let test_session_params_json () =
@@ -276,6 +336,11 @@ let test_scheduler_admission () =
    with
   | Error (Scheduler.Invalid _) -> ()
   | _ -> Alcotest.fail "bad setup accepted");
+  (match
+     Scheduler.submit t ~tenant:"a" { small_params with Session.programs = 0 }
+   with
+  | Error (Scheduler.Invalid _) -> ()
+  | _ -> Alcotest.fail "out-of-range program count accepted");
   (* per-tenant backlog: two queued fill tenant a; b is unaffected *)
   let a0 = ok "a" in
   let _a1 = ok "a" in
@@ -344,16 +409,15 @@ let test_scheduler_cancel_running () =
        lines);
   Scheduler.shutdown t
 
-(* Batch reference for the acceptance checks: the CLI path — same
-   workload resolution, own journal file. *)
+(* Batch reference for the acceptance checks: the campaign the CLI runs
+   for the same request (built by the same [Workload.config]), with its
+   own journal file. *)
 let batch_reference ~programs ~tests_per_program ~seed =
-  let template = Result.get_ok (Workload.lookup_template "A") in
-  let setup = Result.get_ok (Workload.lookup_setup "mct-vs-mspec") in
   let cfg =
-    Campaign.make
-      ~name:(Workload.campaign_name ~setup:"mct-vs-mspec" ~template:"A")
-      ~template ~setup ~view:(Workload.view_for "mct-vs-mspec") ~programs
-      ~tests_per_program ~seed ~clock:Stopwatch.frozen ()
+    Result.get_ok
+      (Workload.config ~template:"A" ~setup:"mct-vs-mspec"
+         ~isa:(`Single Isa.Aarch64) ~programs ~tests:tests_per_program ~seed
+         ~clock:Stopwatch.frozen ())
   in
   let ref_path = temp_path ".journal" in
   Sys.remove ref_path;
@@ -896,6 +960,8 @@ let () =
           Alcotest.test_case "slot namespace" `Quick test_tenant_slot_namespace;
           Alcotest.test_case "quota admission" `Quick test_tenant_quota;
         ] );
+      ( "workload",
+        [ Alcotest.test_case "config range rules" `Quick test_workload_config ] );
       ( "session",
         [
           Alcotest.test_case "params JSON" `Quick test_session_params_json;
