@@ -7,7 +7,7 @@ SMOKE = campaign --template A --setup mct-vs-mspec -p 6 -k 4 --seed 2021 \
 	--fault-rate 0.1 --fault-seed 7 --max-attempts 3 --max-conflicts 100 \
 	--portfolio 2
 
-.PHONY: all build test smoke check bench chaos-smoke metrics-smoke solver-smoke serve-smoke diff-smoke perf-check perf-golden service-perf-check clean
+.PHONY: all build test smoke check bench repro-golden chaos-smoke metrics-smoke solver-smoke serve-smoke diff-smoke perf-check perf-golden service-perf-check clean
 
 all: build
 
@@ -26,8 +26,9 @@ smoke_run = $(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) $(2) > $(1).out && cat $(
 	&& { grep '^|' $(1).out | tail -n 1 | cut -d'|' -f3-12; grep '^uarch:' $(1).out; } > $(1).counts
 
 # Then the catalogue commands on both ISAs, with a partition setup and a
-# refined one, and an out-of-range count, which must be a usage error
-# (exit 124) rather than a crash (125).
+# refined one.  An out-of-range count and a --resume checkpoint that is a
+# malformed v1 CSV must be usage errors (exit 124) rather than crashes
+# (125).
 smoke: build
 	$(call smoke_run,smoke.a64.j1,--jobs 1)
 	$(call smoke_run,smoke.a64.j4,--jobs 4)
@@ -41,11 +42,40 @@ smoke: build
 			> /dev/null || exit 1; done; done
 	$(DUNE) exec bin/scamv_cli.exe -- campaign --programs=0 2> /dev/null; \
 		test $$? = 124
+	printf 'campaign,kind\nx,bogus\n' > smoke.resume.csv
+	$(DUNE) exec bin/scamv_cli.exe -- campaign -p 2 -k 2 --resume smoke.resume.csv \
+		2> /dev/null; test $$? = 124
 
 check: build test smoke
 
 bench:
 	$(DUNE) exec bench/main.exe
+
+# Paper-results golden: the scaled-down Table 1, Fig. 7, Fig. 3 and
+# ablation tables must print exactly the count cells of
+# bench/repro.expected.  The filter keeps every count cell and drops what
+# runs on the wall clock: the table separators, the avg gen / avg exe /
+# T.T.C. columns (fields 13-15 of a campaign row) and the two timed
+# ablation tables (projection, path split).  Then one row is rerun as the
+# CLI command it names, and its count cells must equal the bench row's.
+# A change that moves a row regenerates the expected file (and
+# EXPERIMENTS.md) from repro.golden.counts.
+REPRO_ROW = campaign --template stride --setup "mpart-vs-mpart'" -p 30 -k 30
+repro_cells = grep -F "$(1)" $(2) | cut -d'|' -f3-12 | tr -d ' '
+
+repro-golden: build
+	_build/default/bench/main.exe table1 fig7 fig3 ablations > repro.golden.out
+	awk -F'|' '/^## / { skip = /projection|per-path-pair/ } \
+		skip || /^\+/ { next } \
+		NF == 17 { s = $$1; for (i = 2; i <= NF; i++) if (i < 13 || i > 15) s = s "|" $$i; \
+			print s; next } \
+		{ print }' repro.golden.out > repro.golden.counts
+	diff -u bench/repro.expected repro.golden.counts
+	$(DUNE) exec bin/scamv_cli.exe -- $(REPRO_ROW) > repro.cli.out
+	$(call repro_cells,| mpart-vs-mpart' on template stride,repro.cli.out) > repro.cli.counts
+	$(call repro_cells,| Mpart + Mpart' (Mpc&Mline),repro.golden.out) > repro.bench.counts
+	test -s repro.cli.counts
+	cmp repro.cli.counts repro.bench.counts
 
 # Supervision acceptance: SIGKILL a journaled campaign mid-flight, tear
 # the journal tail, and require the resumed run to match an uninterrupted

@@ -35,10 +35,10 @@ module Executor = Scamv_microarch.Executor
 module Core = Scamv_microarch.Core
 module Refinement = Scamv_models.Refinement
 module Catalog = Scamv_models.Catalog
-module Region = Scamv_models.Region
 module Templates = Scamv_gen.Templates
 module Gen = Scamv_gen.Gen
 module Campaign = Scamv.Campaign
+module Workload = Scamv_service.Workload
 module Stats = Scamv.Stats
 module Text_table = Scamv_util.Text_table
 module Exec = Scamv_symbolic.Exec
@@ -49,8 +49,6 @@ module Metrics = Scamv_telemetry.Metrics
 module Collector = Scamv_telemetry.Collector
 
 let platform = Platform.cortex_a53
-let region = Region.paper_unaligned platform
-let region_pa = Region.paper_page_aligned platform
 
 (* Every benchmark here drives the AArch64 side; unwrap template draws
    once instead of threading the guest-program sum through the tables. *)
@@ -60,181 +58,79 @@ let arm_draw ~seed template =
   | Scamv_arch.Isa.Riscv_program _ ->
     invalid_arg "bench: AArch64 template expected"
 
-let view_of_region (r : Region.t) =
-  Executor.Region { first_set = r.Region.first_set; last_set = r.Region.last_set }
+(* The campaign [scamv campaign -t TEMPLATE --setup SETUP -p PROGRAMS -k
+   TESTS] runs: the tables, the count ablations and the chaos harness
+   build every campaign through the catalogue the CLI and the service
+   share, under the default seed 2021. *)
+let named ?max_conflicts ?deadline_conflicts ?chaos ?clock ~template ~setup
+    ~programs ~tests () =
+  match
+    Workload.config ~template ~setup ~isa:(`Single Scamv_arch.Isa.Aarch64)
+      ~programs ~tests ~seed:2021L ?max_conflicts ?deadline_conflicts ?chaos
+      ?clock ()
+  with
+  | Ok cfg -> cfg
+  | Error msg -> invalid_arg ("bench: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign catalogue: one row per column of Table 1 / Fig. 7           *)
 (* ------------------------------------------------------------------ *)
 
-type row_spec = {
-  id : string;
-  template : Templates.t Gen.t;
-  setup : Refinement.t;
-  view : Executor.view;
+(* A row is a named request plus the paper's view of it: the row reruns
+   alone as [scamv campaign -t template --setup setup -p programs -k
+   tests], batch or served; [label] is display text only. *)
+
+type row = {
+  label : string;  (* the paper's name for the campaign *)
+  template : string;
+  setup : string;
   programs : int;  (* scaled-down default *)
   full_programs : int;  (* the paper's count *)
   tests : int;
   paper : string;  (* the paper's counterexample / experiments summary *)
 }
 
+let row (label, template, setup, programs, full_programs, tests, paper) =
+  { label; template; setup; programs; full_programs; tests; paper }
+
 let table1_rows =
-  [
-    {
-      id = "Mpart unguided (Mpc)";
-      template = Templates.stride;
-      setup = Refinement.mpart_unguided platform region;
-      view = view_of_region region;
-      programs = 30;
-      full_programs = 450;
-      tests = 30;
-      paper = "21 cx / 13752 exp";
-    };
-    {
-      id = "Mpart + Mpart' (Mpc&Mline)";
-      template = Templates.stride;
-      setup = Refinement.mpart_vs_mpart' platform region;
-      view = view_of_region region;
-      programs = 30;
-      full_programs = 450;
-      tests = 30;
-      paper = "447 cx / 18000 exp";
-    };
-    {
-      id = "Mpart page-aligned unguided";
-      template = Templates.stride;
-      setup = Refinement.mpart_unguided platform region_pa;
-      view = view_of_region region_pa;
-      programs = 30;
-      full_programs = 425;
-      tests = 30;
-      paper = "0 cx / 12860 exp";
-    };
-    {
-      id = "Mpart page-aligned + Mpart'";
-      template = Templates.stride;
-      setup = Refinement.mpart_vs_mpart' platform region_pa;
-      view = view_of_region region_pa;
-      programs = 30;
-      full_programs = 425;
-      tests = 30;
-      paper = "0 cx / 17000 exp";
-    };
-    {
-      id = "Mct template A unguided";
-      template = Templates.template_a;
-      setup = Refinement.mct_unguided;
-      view = Executor.Full_cache;
-      programs = 30;
-      full_programs = 655;
-      tests = 30;
-      paper = "6 cx / 26200 exp";
-    };
-    {
-      id = "Mct template A + Mspec";
-      template = Templates.template_a;
-      setup = Refinement.mct_vs_mspec ();
-      view = Executor.Full_cache;
-      programs = 30;
-      full_programs = 652;
-      tests = 30;
-      paper = "12462 cx / 25737 exp";
-    };
-    {
-      id = "Mct template B unguided";
-      template = Templates.template_b;
-      setup = Refinement.mct_unguided;
-      view = Executor.Full_cache;
-      programs = 30;
-      full_programs = 942;
-      tests = 30;
-      paper = "0 cx / 37680 exp";
-    };
-    {
-      id = "Mct template B + Mspec";
-      template = Templates.template_b;
-      setup = Refinement.mct_vs_mspec ();
-      view = Executor.Full_cache;
-      programs = 30;
-      full_programs = 941;
-      tests = 30;
-      paper = "4838 cx / 37640 exp";
-    };
-  ]
+  List.map row
+    [
+      ("Mpart unguided (Mpc)", "stride", "mpart-unguided", 30, 450, 30, "21 cx / 13752 exp");
+      ("Mpart + Mpart' (Mpc&Mline)", "stride", "mpart-vs-mpart'", 30, 450, 30, "447 cx / 18000 exp");
+      ("Mpart page-aligned unguided", "stride", "mpart-pa-unguided", 30, 425, 30, "0 cx / 12860 exp");
+      ("Mpart page-aligned + Mpart'", "stride", "mpart-pa-vs-mpart'", 30, 425, 30, "0 cx / 17000 exp");
+      ("Mct template A unguided", "A", "mct-unguided", 30, 655, 30, "6 cx / 26200 exp");
+      ("Mct template A + Mspec", "A", "mct-vs-mspec", 30, 652, 30, "12462 cx / 25737 exp");
+      ("Mct template B unguided", "B", "mct-unguided", 30, 942, 30, "0 cx / 37680 exp");
+      ("Mct template B + Mspec", "B", "mct-vs-mspec", 30, 941, 30, "4838 cx / 37640 exp");
+    ]
 
 let fig7_rows =
-  [
-    {
-      id = "Mct template C unguided";
-      template = Templates.template_c;
-      setup = Refinement.mct_unguided;
-      view = Executor.Full_cache;
-      programs = 8;
-      full_programs = 8;
-      tests = 100;
-      paper = "0 cx / 8000 exp";
-    };
-    {
-      id = "Mct template C + Mspec";
-      template = Templates.template_c;
-      setup = Refinement.mct_vs_mspec ();
-      view = Executor.Full_cache;
-      programs = 8;
-      full_programs = 8;
-      tests = 100;
-      paper = "3423 cx / 8000 exp";
-    };
-    {
-      id = "Mspec1 template C + Mspec";
-      template = Templates.template_c;
-      setup = Refinement.mspec1_vs_mspec ();
-      view = Executor.Full_cache;
-      programs = 8;
-      full_programs = 8;
-      tests = 100;
-      paper = "0 cx / 8000 exp";
-    };
-    {
-      id = "Mspec1 template B + Mspec";
-      template = Templates.template_b;
-      setup = Refinement.mspec1_vs_mspec ();
-      view = Executor.Full_cache;
-      programs = 30;
-      full_programs = 915;
-      tests = 30;
-      paper = "206 cx / 36600 exp";
-    };
-    {
-      id = "Mct template D + Mspec'";
-      template = Templates.template_d;
-      setup = Refinement.mct_vs_mspec_straight_line ();
-      view = Executor.Full_cache;
-      programs = 30;
-      full_programs = 478;
-      tests = 30;
-      paper = "0 cx / 47800 exp";
-    };
-  ]
+  List.map row
+    [
+      ("Mct template C unguided", "C", "mct-unguided", 8, 8, 100, "0 cx / 8000 exp");
+      ("Mct template C + Mspec", "C", "mct-vs-mspec", 8, 8, 100, "3423 cx / 8000 exp");
+      ("Mspec1 template C + Mspec", "C", "mspec1-vs-mspec", 8, 8, 100, "0 cx / 8000 exp");
+      ("Mspec1 template B + Mspec", "B", "mspec1-vs-mspec", 30, 915, 30, "206 cx / 36600 exp");
+      ("Mct template D + Mspec'", "D", "mct-vs-mspec-sl", 30, 478, 30, "0 cx / 47800 exp");
+    ]
 
 let run_rows ~full ~title rows =
   Format.printf "@.## %s (%s campaigns)@.@.%!" title
     (if full then "paper-sized" else "scaled-down");
   let measured =
     List.map
-      (fun spec ->
-        let programs = if full then spec.full_programs else spec.programs in
-        let cfg =
-          Campaign.make ~name:spec.id ~template:spec.template ~setup:spec.setup
-            ~view:spec.view ~programs ~tests_per_program:spec.tests ()
-        in
-        let outcome = Campaign.run cfg in
-        (spec, outcome))
+      (fun r ->
+        let programs = if full then r.full_programs else r.programs in
+        let cfg = named ~template:r.template ~setup:r.setup ~programs ~tests:r.tests () in
+        (r, Campaign.run cfg))
       rows
   in
   let rows_txt =
     List.map
-      (fun (spec, (outcome : Campaign.outcome)) ->
-        Stats.row ~name:spec.id outcome.Campaign.stats @ [ spec.paper ])
+      (fun (r, (outcome : Campaign.outcome)) ->
+        Stats.row ~name:r.label outcome.Campaign.stats @ [ r.paper ])
       measured
   in
   print_string
@@ -394,100 +290,45 @@ let ablation_path_split () =
     \ and provides no path-pair coverage - its models may all come from one@.\
     \ path pair, which is exactly what the round-robin split prevents)@."
 
-let ablation_prefetch_threshold () =
-  Format.printf "@.## Ablation: prefetcher trigger threshold vs Mpart violations@.@.";
+(* A count ablation runs one named campaign per case, each on its own
+   simulated core; swapping the core is the only hand-built part. *)
+let count_ablation ~title ~header ~template ~setup ~programs ~tests cases =
+  Format.printf "@.## Ablation: %s@.@." title;
   let rows =
     List.map
-      (fun threshold ->
-        let setup = Refinement.mpart_vs_mpart' platform region in
-        let cfg =
-          Campaign.make
-            ~name:(Printf.sprintf "threshold %d" threshold)
-            ~template:Templates.stride ~setup ~view:(view_of_region region) ~programs:15
-            ~tests_per_program:20 ()
-        in
-        let cfg =
-          {
-            cfg with
-            Campaign.executor =
-              {
-                cfg.Campaign.executor with
-                Executor.core =
-                  { cfg.Campaign.executor.Executor.core with Core.prefetch_threshold = threshold };
-              };
-          }
-        in
-        let s = (Campaign.run cfg).Campaign.stats in
-        [
-          string_of_int threshold;
-          string_of_int s.Stats.counterexamples;
-          string_of_int s.Stats.experiments;
-        ])
-      [ 2; 3; 4; 5; 6 ]
-  in
-  print_string
-    (Text_table.render
-       ~header:[ "prefetch threshold (loads)"; "counterexamples"; "experiments" ]
-       ~rows)
-
-let ablation_spec_window () =
-  Format.printf "@.## Ablation: speculation window vs Mct/template-C violations@.@.";
-  let rows =
-    List.map
-      (fun window ->
-        let setup = Refinement.mct_vs_mspec () in
-        let cfg =
-          Campaign.make
-            ~name:(Printf.sprintf "window %d" window)
-            ~template:Templates.template_c ~setup ~view:Executor.Full_cache ~programs:8
-            ~tests_per_program:25 ()
-        in
-        let cfg =
-          {
-            cfg with
-            Campaign.executor =
-              {
-                cfg.Campaign.executor with
-                Executor.core =
-                  { cfg.Campaign.executor.Executor.core with Core.spec_window = window };
-              };
-          }
-        in
-        let s = (Campaign.run cfg).Campaign.stats in
-        [
-          string_of_int window;
-          string_of_int s.Stats.counterexamples;
-          string_of_int s.Stats.experiments;
-        ])
-      [ 0; 1; 2; 4; 8; 16 ]
-  in
-  print_string
-    (Text_table.render
-       ~header:[ "speculation window (instrs)"; "counterexamples"; "experiments" ]
-       ~rows)
-
-let ablation_forwarding () =
-  (* Sec. 6.5: the tailored model Mspec1 is core-specific.  On a core with
-     speculative forwarding (classic Spectre-PHT microarchitecture) the
-     dependent second load issues, so Mspec1 stops being sound. *)
-  Format.printf "@.## Ablation: speculative forwarding vs Mspec1 soundness (template C)@.@.";
-  let rows =
-    List.map
-      (fun (name, core_cfg) ->
-        let cfg =
-          Campaign.make ~name ~template:Templates.template_c
-            ~setup:(Refinement.mspec1_vs_mspec ()) ~view:Executor.Full_cache ~programs:8
-            ~tests_per_program:25 ()
-        in
-        let cfg =
-          { cfg with Campaign.executor = { cfg.Campaign.executor with Executor.core = core_cfg } }
-        in
+      (fun (name, core) ->
+        let cfg = named ~template ~setup ~programs ~tests () in
+        let cfg = { cfg with Campaign.executor = { cfg.Campaign.executor with Executor.core } } in
         let s = (Campaign.run cfg).Campaign.stats in
         [ name; string_of_int s.Stats.counterexamples; string_of_int s.Stats.experiments ])
-      [ ("Cortex-A53 (no forwarding)", Core.cortex_a53); ("out-of-order core", Core.out_of_order) ]
+      cases
   in
   print_string
-    (Text_table.render ~header:[ "core"; "counterexamples"; "experiments" ] ~rows)
+    (Text_table.render ~header:[ header; "counterexamples"; "experiments" ] ~rows)
+
+let ablation_prefetch_threshold () =
+  count_ablation ~title:"prefetcher trigger threshold vs Mpart violations"
+    ~header:"prefetch threshold (loads)" ~template:"stride" ~setup:"mpart-vs-mpart'"
+    ~programs:15 ~tests:20
+    (List.map
+       (fun t -> (string_of_int t, { Core.cortex_a53 with prefetch_threshold = t }))
+       [ 2; 3; 4; 5; 6 ])
+
+let ablation_spec_window () =
+  count_ablation ~title:"speculation window vs Mct/template-C violations"
+    ~header:"speculation window (instrs)" ~template:"C" ~setup:"mct-vs-mspec"
+    ~programs:8 ~tests:25
+    (List.map
+       (fun w -> (string_of_int w, { Core.cortex_a53 with spec_window = w }))
+       [ 0; 1; 2; 4; 8; 16 ])
+
+(* Sec. 6.5: the tailored model Mspec1 is core-specific.  On a core with
+   speculative forwarding (classic Spectre-PHT microarchitecture) the
+   dependent second load issues, so Mspec1 stops being sound. *)
+let ablation_forwarding () =
+  count_ablation ~title:"speculative forwarding vs Mspec1 soundness (template C)"
+    ~header:"core" ~template:"C" ~setup:"mspec1-vs-mspec" ~programs:8 ~tests:25
+    [ ("Cortex-A53 (no forwarding)", Core.cortex_a53); ("out-of-order core", Core.out_of_order) ]
 
 let ablations () =
   ablation_projection ();
@@ -502,10 +343,10 @@ let ablations () =
 
 let checklist table1 fig7 =
   Format.printf "@.## Sec. A.6.1 evaluation checklist (refined vs unguided)@.@.";
-  let find id rows =
+  let find label rows =
     List.find_map
-      (fun (spec, (o : Campaign.outcome)) ->
-        if spec.id = id then Some o.Campaign.stats else None)
+      (fun (r, (o : Campaign.outcome)) ->
+        if r.label = label then Some o.Campaign.stats else None)
       rows
     |> Option.get
   in
@@ -838,11 +679,8 @@ let contains_substring haystack needle =
    output (journal rows, stats, progress lines) is a pure function of the
    seed and the injected chaos/deadline — byte-identical means identical. *)
 let chaos_cfg ?deadline_conflicts ?chaos ~programs ~tests () =
-  Campaign.make ~name:"chaos"
-    ~template:Templates.template_a
-    ~setup:(Refinement.mct_vs_mspec ())
-    ~programs ~tests_per_program:tests ~seed:2021L
-    ~max_conflicts:200 ?deadline_conflicts ?chaos ~clock:Stopwatch.frozen ()
+  named ~template:"A" ~setup:"mct-vs-mspec" ~programs ~tests ~max_conflicts:200
+    ?deadline_conflicts ?chaos ~clock:Stopwatch.frozen ()
 
 let run_campaign ?resume ~jobs cfg =
   let journal = Journal.create () in

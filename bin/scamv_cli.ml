@@ -202,21 +202,6 @@ let campaign_cmd =
         Error (`Msg "--chaos-rate must be within [0, 1]")
       else Ok ()
     in
-    let* () =
-      (* Tolerant pre-flight check: a torn tail is recovered (and reported
-         below by Campaign.run), so only unreadable files and malformed v1
-         CSVs are rejected here. *)
-      match resume with
-      | None -> Ok ()
-      | Some path -> (
-        try
-          if Sys.file_exists path then ignore (Scamv.Journal.load ~path);
-          Ok ()
-        with
-        | Scamv.Journal.Parse_error msg ->
-          Error (`Msg (Printf.sprintf "--resume %s: %s" path msg))
-        | Sys_error msg -> Error (`Msg msg))
-    in
     let retry = Scamv.Retry.make ~max_attempts ~confirm () in
     let faults =
       if fault_rate > 0.0 then
@@ -237,7 +222,18 @@ let campaign_cmd =
     let name = cfg.Campaign.name in
     let on_event = if verbose then print_endline else fun _ -> () in
     let journal = Scamv.Journal.create ?path:csv ?chaos () in
-    let outcome = Campaign.run ~on_event ~journal ?resume ~jobs cfg in
+    let* outcome =
+      (* Loading the checkpoint is the first thing the run does, before
+         the journal records (and creates its file), so an exception with
+         nothing recorded came from the load.  The load keeps a torn tail
+         (and the run reports it): only an unreadable file or a malformed
+         v1 CSV ends here. *)
+      match Campaign.run ~on_event ~journal ?resume ~jobs cfg with
+      | outcome -> Ok outcome
+      | exception (Scamv.Journal.Parse_error msg | Sys_error msg)
+        when resume <> None && Scamv.Journal.events journal = [] ->
+        Error (`Msg (Printf.sprintf "--resume %s: %s" (Option.get resume) msg))
+    in
     Scamv.Journal.close journal;
     print_string
       (Scamv_util.Text_table.render ~header:Stats.header

@@ -36,7 +36,6 @@ module Metrics = Scamv_telemetry.Metrics
 module Campaign = Scamv.Campaign
 module Journal = Scamv.Journal
 module Diff = Scamv.Diff
-module Isa = Scamv_arch.Isa
 
 type config = {
   jobs : int;
@@ -256,24 +255,13 @@ let running_count t =
 
 (* ---- campaign execution ---- *)
 
-(* The isa parameter selects the workload shape: a single-ISA campaign
-   (aarch64/riscv) or the differential mode, which runs both ISAs and
-   appends the cross-ISA comparison. *)
-let workload_of_params p =
-  match p.Session.isa with
-  | "aarch64" -> Ok (`Single Isa.Aarch64)
-  | "riscv" -> Ok (`Single Isa.Riscv)
-  | "diff" -> Ok `Diff
-  | other ->
-    Error (Printf.sprintf "unknown isa %s (expected one of: aarch64, riscv, diff)" other)
-
 (* The one construction of a request's campaign, shared with the CLI
    through [Workload.config]: [submit] validates by calling it, and the
    runner calls it again with the resolved seed, the clock and the
    session's cancel token. *)
 let build_config ?clock ?cancel ~seed p =
   let ( let* ) = Result.bind in
-  let* isa = workload_of_params p in
+  let* isa = Workload.isa_of_string p.Session.isa in
   let* cfg =
     Workload.config ~template:p.Session.template ~setup:p.Session.setup ~isa
       ~programs:p.Session.programs ~tests:p.Session.tests_per_program ~seed

@@ -19,7 +19,8 @@ type params = {
           ["diff"] runs the differential workload ({!Scamv.Diff}): both
           ISAs under the same seed, with [Diverged] records appended
           after the two campaigns.  Absent in pre-existing meta files,
-          which load as ["aarch64"]. *)
+          which load as ["aarch64"].  Parsing only checks the type;
+          submission checks the name ({!Workload.isa_of_string}). *)
   programs : int;
   tests_per_program : int;
   seed : int64 option;  (** [None]: draw from the tenant's seed namespace *)

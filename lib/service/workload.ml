@@ -59,6 +59,16 @@ let lookup_template ?isa name =
   | t -> Ok t
   | exception Invalid_argument msg -> Error msg
 
+let isa_of_string = function
+  | "diff" -> Ok `Diff
+  | name -> (
+    match Isa.of_string name with
+    | Ok isa -> Ok (`Single isa)
+    | Error _ ->
+      Error
+        (Printf.sprintf "unknown isa %s (expected one of: aarch64, riscv, diff)"
+           name))
+
 (* Journal records embed the campaign name, so every front end must spell
    it identically for served streams to match batch output byte for
    byte. *)

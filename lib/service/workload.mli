@@ -23,6 +23,12 @@ val lookup_template :
 (** Resolve a template name for the given guest ISA (default
     [Aarch64]); the error message lists the valid names. *)
 
+val isa_of_string :
+  string -> ([ `Single of Scamv_arch.Isa.t | `Diff ], string) result
+(** The request's ISA name: a guest ISA ({!Scamv_arch.Isa.of_string}) or
+    ["diff"], the differential request that runs both.  The one copy of
+    the name rule the service's [isa] field goes through. *)
+
 val view_for : string -> Scamv_microarch.Executor.view
 (** Executor observation view matching a setup name (partition setups
     watch their cache region, the rest the full cache). *)

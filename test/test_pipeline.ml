@@ -6,34 +6,24 @@
 module Ast = Scamv_isa.Ast
 module Reg = Scamv_isa.Reg
 module Machine = Scamv_isa.Machine
-module Platform = Scamv_isa.Platform
-module Executor = Scamv_microarch.Executor
 module Refinement = Scamv_models.Refinement
-module Region = Scamv_models.Region
 module Templates = Scamv_gen.Templates
 module Pipeline = Scamv.Pipeline
 module Campaign = Scamv.Campaign
 module Stats = Scamv.Stats
 module Isa = Scamv_arch.Isa
+module Workload = Scamv_service.Workload
 module Stopwatch = Scamv_util.Stopwatch
 
-let platform = Platform.cortex_a53
-
-let mini ?(programs = 6) ?(tests = 10) ?(seed = 99L) ~name ~template ~setup ~view () =
-  let cfg = Campaign.make ~name ~template ~setup ~view ~programs ~tests_per_program:tests ~seed () in
-  (Campaign.run cfg).Campaign.stats
-
-let region = Region.paper_unaligned platform
-
-let region_view =
-  Executor.Region
-    { first_set = region.Region.first_set; last_set = region.Region.last_set }
-
-let pa_region = Region.paper_page_aligned platform
-
-let pa_view =
-  Executor.Region
-    { first_set = pa_region.Region.first_set; last_set = pa_region.Region.last_set }
+(* A miniature Table 1 row: the named request the CLI and the service
+   run, under seed 99. *)
+let mini ?(programs = 6) ?(tests = 10) ~template ~setup () =
+  match
+    Workload.config ~template ~setup ~isa:(`Single Isa.Aarch64) ~programs ~tests
+      ~seed:99L ()
+  with
+  | Ok cfg -> (Campaign.run cfg).Campaign.stats
+  | Error msg -> Alcotest.fail msg
 
 (* ---- pipeline unit behaviour ---- *)
 
@@ -303,7 +293,8 @@ let test_pipeline_deterministic () =
 let test_pipeline_unguided_straightline_program () =
   (* A branch-free program still generates (unguided) test cases. *)
   let tmpl = Scamv_gen.Gen.generate ~seed:3L Templates.stride in
-  let cfg = Pipeline.default_config (Refinement.mpart_unguided platform region) in
+  let setup = Result.get_ok (Workload.lookup_setup "mpart-unguided") in
+  let cfg = Pipeline.default_config setup in
   let session = Pipeline.prepare cfg tmpl.Templates.program in
   match Pipeline.next_test_case session with
   | Pipeline.Exhausted | Pipeline.Quarantined _ | Pipeline.Crashed _ ->
@@ -313,68 +304,41 @@ let test_pipeline_unguided_straightline_program () =
 (* ---- miniature campaigns: the paper's qualitative results ---- *)
 
 let test_refinement_finds_siscloak_on_template_a () =
-  let s =
-    mini ~name:"A refined" ~template:Templates.template_a
-      ~setup:(Refinement.mct_vs_mspec ()) ~view:Executor.Full_cache ()
-  in
+  let s = mini ~template:"A" ~setup:"mct-vs-mspec" () in
   Alcotest.(check bool) "counterexamples found" true (s.Stats.counterexamples > 0);
   Alcotest.(check bool) "most programs leak" true
     (s.Stats.programs_with_counterexample >= s.Stats.programs / 2)
 
 let test_refinement_finds_siscloak_on_template_c () =
-  let s =
-    mini ~name:"C refined" ~template:Templates.template_c
-      ~setup:(Refinement.mct_vs_mspec ()) ~view:Executor.Full_cache ()
-  in
+  let s = mini ~template:"C" ~setup:"mct-vs-mspec" () in
   Alcotest.(check bool) "counterexamples found" true (s.Stats.counterexamples > 0)
 
 let test_unguided_finds_nothing_on_template_c () =
-  let s =
-    mini ~name:"C unguided" ~template:Templates.template_c ~setup:Refinement.mct_unguided
-      ~view:Executor.Full_cache ()
-  in
+  let s = mini ~template:"C" ~setup:"mct-unguided" () in
   Alcotest.(check Alcotest.int) "no counterexamples without refinement" 0
     s.Stats.counterexamples
 
 let test_mspec1_sound_for_dependent_loads () =
-  let s =
-    mini ~name:"C mspec1" ~template:Templates.template_c
-      ~setup:(Refinement.mspec1_vs_mspec ()) ~view:Executor.Full_cache ()
-  in
+  let s = mini ~template:"C" ~setup:"mspec1-vs-mspec" () in
   Alcotest.(check Alcotest.int) "Mspec1 validated on template C" 0
     s.Stats.counterexamples
 
 let test_no_straight_line_speculation_leak () =
-  let s =
-    mini ~name:"D mspec'" ~template:Templates.template_d
-      ~setup:(Refinement.mct_vs_mspec_straight_line ()) ~view:Executor.Full_cache ()
-  in
+  let s = mini ~template:"D" ~setup:"mct-vs-mspec-sl" () in
   Alcotest.(check Alcotest.int) "direct branches do not leak" 0 s.Stats.counterexamples
 
 let test_prefetch_invalidates_mpart () =
-  let s =
-    mini ~programs:12 ~tests:20 ~name:"mpart refined" ~template:Templates.stride
-      ~setup:(Refinement.mpart_vs_mpart' platform region) ~view:region_view ()
-  in
+  let s = mini ~programs:12 ~tests:20 ~template:"stride" ~setup:"mpart-vs-mpart'" () in
   Alcotest.(check bool) "prefetching violates cache coloring" true
     (s.Stats.counterexamples > 0)
 
 let test_page_aligned_mpart_sound () =
-  let s =
-    mini ~programs:12 ~tests:20 ~name:"mpart pa refined" ~template:Templates.stride
-      ~setup:(Refinement.mpart_vs_mpart' platform pa_region) ~view:pa_view ()
-  in
+  let s = mini ~programs:12 ~tests:20 ~template:"stride" ~setup:"mpart-pa-vs-mpart'" () in
   Alcotest.(check Alcotest.int) "page-aligned coloring holds" 0 s.Stats.counterexamples
 
 let test_refinement_beats_unguided_on_mpart () =
-  let refined =
-    mini ~programs:12 ~tests:20 ~name:"mpart r" ~template:Templates.stride
-      ~setup:(Refinement.mpart_vs_mpart' platform region) ~view:region_view ()
-  in
-  let unguided =
-    mini ~programs:12 ~tests:20 ~name:"mpart u" ~template:Templates.stride
-      ~setup:(Refinement.mpart_unguided platform region) ~view:region_view ()
-  in
+  let refined = mini ~programs:12 ~tests:20 ~template:"stride" ~setup:"mpart-vs-mpart'" () in
+  let unguided = mini ~programs:12 ~tests:20 ~template:"stride" ~setup:"mpart-unguided" () in
   Alcotest.(check bool) "refinement finds more counterexamples" true
     (refined.Stats.counterexamples > unguided.Stats.counterexamples)
 

@@ -341,6 +341,9 @@ let test_scheduler_admission () =
    with
   | Error (Scheduler.Invalid _) -> ()
   | _ -> Alcotest.fail "out-of-range program count accepted");
+  (match Scheduler.submit t ~tenant:"a" { small_params with Session.isa = "sparc" } with
+  | Error (Scheduler.Invalid _) -> ()
+  | _ -> Alcotest.fail "bad isa accepted");
   (* per-tenant backlog: two queued fill tenant a; b is unaffected *)
   let a0 = ok "a" in
   let _a1 = ok "a" in
