@@ -26,9 +26,9 @@ smoke_run = $(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) $(2) > $(1).out && cat $(
 	&& { grep '^|' $(1).out | tail -n 1 | cut -d'|' -f3-12; grep '^uarch:' $(1).out; } > $(1).counts
 
 # Then the catalogue commands on both ISAs, with a partition setup and a
-# refined one.  An out-of-range count and a --resume checkpoint that is a
-# malformed v1 CSV must be usage errors (exit 124) rather than crashes
-# (125).
+# refined one.  An out-of-range count, an unwritable --csv path (here a
+# directory) and a --resume checkpoint that is a malformed v1 CSV must be
+# usage errors (exit 124) rather than crashes (125).
 smoke: build
 	$(call smoke_run,smoke.a64.j1,--jobs 1)
 	$(call smoke_run,smoke.a64.j4,--jobs 4)
@@ -41,6 +41,8 @@ smoke: build
 		$(DUNE) exec bin/scamv_cli.exe -- show --isa $$isa -t C -m $$setup \
 			> /dev/null || exit 1; done; done
 	$(DUNE) exec bin/scamv_cli.exe -- campaign --programs=0 2> /dev/null; \
+		test $$? = 124
+	$(DUNE) exec bin/scamv_cli.exe -- campaign -p 2 -k 2 --csv . 2> /dev/null; \
 		test $$? = 124
 	printf 'campaign,kind\nx,bogus\n' > smoke.resume.csv
 	$(DUNE) exec bin/scamv_cli.exe -- campaign -p 2 -k 2 --resume smoke.resume.csv \

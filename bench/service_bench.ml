@@ -8,8 +8,8 @@
      streamed record sequence (and the server's on-disk journal) must be
      byte-identical to a batch Campaign.run of the same parameters;
    - the same campaigns served at every --concurrency {1,2,4} x
-     --jobs {1,2} combination must stream the same bytes — runner slots
-     and pool slicing are pure scheduling, never observable;
+     --jobs {1,2} combination must stream the same bytes — which runner
+     takes a campaign, and its pool width, are never observable;
    - connections are persistent: sequential requests reuse one socket
      and the /metrics reuse counter proves it;
    - a SIGKILLed --concurrency 2 server with two campaigns mid-flight
@@ -519,8 +519,8 @@ let kill_resume () =
   close_in child_out;
   (* Restart "the server" from the same state directory: recovery must
      re-enqueue both interrupted campaigns and finish them.  The restart
-     also runs at --concurrency 2, so recovered sessions land back on
-     derived runner slots. *)
+     also runs at --concurrency 2, so the two recovered campaigns resume
+     side by side, each on whichever runner takes it. *)
   let restart () =
     let scd =
       Scheduler.create ~config:(scheduler_config ~state_dir:dir ~concurrency:2 ()) ()

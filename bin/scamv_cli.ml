@@ -40,6 +40,22 @@ let isa_arg =
 (* Catalogue and range errors become cmdliner usage errors (exit 124). *)
 let usage r = Result.map_error (fun m -> `Msg m) r
 
+(* The journal opens its [--csv] file only at the first record, after the
+   campaign has started, so an unwritable path is probed up front and
+   reported as a usage error.  The probe appends nothing, so a --resume
+   checkpoint at the same path stays intact, and a file it had to create
+   is removed again. *)
+let writable_csv = function
+  | None -> Ok ()
+  | Some path -> (
+    let existed = Sys.file_exists path in
+    match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
+    | oc ->
+      close_out oc;
+      if not existed then Sys.remove path;
+      Ok ()
+    | exception Sys_error msg -> Error (`Msg ("--csv: " ^ msg)))
+
 (* ---- campaign command ---- *)
 
 let campaign_cmd =
@@ -219,6 +235,7 @@ let campaign_cmd =
            ~isa:(`Single isa) ~programs ~tests ~seed ~max_conflicts
            ~deadline_conflicts ~portfolio ~retry ?faults ?chaos ())
     in
+    let* () = writable_csv csv in
     let name = cfg.Campaign.name in
     let on_event = if verbose then print_endline else fun _ -> () in
     let journal = Scamv.Journal.create ?path:csv ?chaos () in
@@ -392,6 +409,7 @@ let diff_cmd =
         (Workload.config ~template:template_name ~setup:setup_name ~isa:`Diff
            ~programs ~tests ~seed ~max_conflicts ~portfolio ~clock ())
     in
+    let* () = writable_csv csv in
     let name = cfg.Campaign.name in
     let on_event = if verbose then print_endline else fun _ -> () in
     let journal = Scamv.Journal.create ?path:csv () in
@@ -477,20 +495,23 @@ let serve_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains in the pool shared by all campaigns (0 = all \
-             cores).  Campaign artifacts are byte-identical across $(docv) \
-             levels.")
+            "Worker domains, split evenly over the $(b,--concurrency) \
+             runners (0 = all cores).  Campaign artifacts are \
+             byte-identical across $(docv) levels.")
   in
   let concurrency_arg =
     Arg.(
       value & opt int 1
       & info [ "concurrency" ] ~docv:"K"
           ~doc:
-            "Campaigns executed at once: the worker pool is partitioned \
-             into $(docv) deterministic slices, each driven by its own \
-             runner.  Slice assignment is a pure function of (tenant, \
-             sequence), so artifacts stay byte-identical across $(docv) \
-             levels.")
+            "Runners: campaigns executed at once.  The $(b,--jobs) budget \
+             is split evenly over the $(docv) runners; an idle runner takes \
+             the next queued campaign, round-robin over tenants.  A runner \
+             of width 1 computes inline on the server's main domain, \
+             shared with the HTTP threads, so $(docv) campaigns compute in \
+             parallel only when $(b,--jobs) is at least 2*$(docv); below \
+             that, $(docv) interleaves campaigns but adds no cores.  \
+             Artifacts are byte-identical across $(docv) levels.")
   in
   let max_connections_arg =
     Arg.(

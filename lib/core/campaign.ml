@@ -63,7 +63,6 @@ type outcome = {
   config_name : string;
   stats : Stats.t;
   wall_seconds : float;
-  pool_width : int;
   telemetry : Collector.report;
 }
 
@@ -463,6 +462,5 @@ let run ?(on_event = fun _ -> ()) ?(on_record = fun (_ : Journal.event) -> ())
     config_name = cfg.name;
     stats = !stats;
     wall_seconds = Stopwatch.elapsed_s watch;
-    pool_width = jobs;
     telemetry;
   }

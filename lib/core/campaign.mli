@@ -92,11 +92,6 @@ type outcome = {
   config_name : string;
   stats : Stats.t;
   wall_seconds : float;
-  pool_width : int;
-      (** worker count the campaign actually ran with (the supplied
-          pool's size, or the resolved [jobs]) — schedule metadata, kept
-          out of [telemetry] so exports stay byte-identical across
-          [jobs] levels *)
   telemetry : Scamv_telemetry.Collector.report;
       (** merged metrics and spans from every executed program (in program
           order) plus the campaign-level spans.  Per-program collectors are

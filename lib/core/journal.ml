@@ -443,7 +443,8 @@ let parse_v2 content =
         | None -> None
         | Some (len, crc) ->
           let start = nl + 1 in
-          if len < 0 || start + len >= n || content.[start + len] <> '\n' then
+          (* a difference, so that a huge [len] cannot overflow *)
+          if len < 0 || len >= n - start || content.[start + len] <> '\n' then
             None
           else
             let payload = String.sub content start len in

@@ -1,7 +1,7 @@
 (* The service's brain: admission control, per-tenant FIFO queues served
-   round-robin by K runner threads (one per pool slice), a deterministically
-   sliced worker pool, and journal-backed persistence so a restarted server
-   resumes in-flight campaigns.
+   round-robin by K runner threads (each with its own worker pool), and
+   journal-backed persistence so a restarted server resumes in-flight
+   campaigns.
 
    Memory model: the session table holds the sessions that are queued or
    running.  With a state directory, a session leaves the table once it
@@ -12,21 +12,18 @@
    is the only store and keeps every session.
 
    Concurrency model: one mutex guards all scheduler state (tenant table,
-   session table, queues, counters).  Each runner thread owns one slot: it
-   takes a session assigned to that slot out under the lock, runs the
-   campaign with the lock released — on the slot's own pool slice — and
-   re-acquires it only to publish the result.  Sessions have their own
-   locks (see Session), and the ordering discipline is strictly
-   scheduler lock -> session lock, never the reverse.
+   session table, queues, counters).  An idle runner takes the head of
+   the next non-empty tenant queue out under the lock, runs the campaign
+   with the lock released — on its own pool — and re-acquires it only to
+   publish the result.  Sessions have their own locks (see Session), and
+   the ordering discipline is strictly scheduler lock -> session lock,
+   never the reverse.
 
-   Determinism under concurrency: slice widths are a pure function of
-   (jobs, concurrency) and a session's slot is a pure function of its
-   (tenant, sequence) — Tenant.derive_slot — so which slice a campaign
-   runs on, and with how many workers, never depends on arrival timing or
-   on what the other slots are doing.  Combined with the per-campaign
-   seeds and the pool's index-ordered batch protocol, a served campaign's
-   journal and record stream stay byte-identical at every --concurrency
-   level and identical to a batch CLI run. *)
+   Determinism needs no placement rule: a campaign's artifacts depend on
+   its seed alone, never on the width of the pool that runs it (the
+   pool's index-ordered batch protocol), so whichever runner takes a
+   campaign, its journal and record stream are byte-identical at every
+   --concurrency level and identical to a batch CLI run. *)
 
 module Json = Scamv_util.Json
 module Deadline = Scamv_util.Deadline
@@ -58,7 +55,6 @@ type submit_error = Invalid of string | Busy of Tenant.rejection | Stopped
 
 type t = {
   cfg : config;
-  concurrency : int;  (** normalized [cfg.concurrency] (>= 1) *)
   lock : Mutex.t;
   work : Condition.t;  (** signalled on submit/stop; runners wait here *)
   idle : Condition.t;  (** broadcast when a runner finishes a session *)
@@ -66,11 +62,11 @@ type t = {
   sessions : (string, Session.t) Hashtbl.t;
       (** queued and running sessions; every session without a state dir *)
   mutable finished_on_disk : int;  (** terminal sessions kept only on disk *)
-  slices : Pool.sliced;
+  pools : Pool.t array;  (** runner [i] runs its campaigns on [pools.(i)] *)
   mutable rr : string list;  (** tenant round-robin order *)
   mutable submitted : int;  (** global submission counter *)
   mutable stopping : bool;
-  running : Session.t option array;  (** what each runner slot executes *)
+  running : Session.t option array;  (** what each runner executes *)
   mutable runners : Thread.t list;
   mutable gauge_sources : (unit -> (string * float) list) list;
       (** live gauges contributed by other layers (the HTTP server's
@@ -88,7 +84,7 @@ let bump ?(n = 1) t name = locked t (fun () -> t.server_metrics <- Metrics.add n
 let register_gauge_source t f =
   locked t (fun () -> t.gauge_sources <- t.gauge_sources @ [ f ])
 
-let concurrency t = t.concurrency
+let concurrency t = Array.length t.pools
 
 (* ---- persistence ---- *)
 
@@ -141,22 +137,15 @@ let terminal_state (m : Session.meta) =
     Some (Session.Failed (Option.value ~default:"unknown" m.Session.meta_reason))
   | _ -> None
 
-(* A fresh session for a persisted meta.  The slot is re-derived from the
-   id's sequence suffix rather than persisted, so a restart under a
-   different --concurrency re-partitions the backlog cleanly. *)
+(* A fresh session for a persisted meta. *)
 let session_of_meta t (m : Session.meta) =
   let id = m.Session.meta_id and tenant = m.Session.meta_tenant in
   let p = m.Session.meta_params in
   let journal_path, meta_path = session_paths t.cfg id in
-  let slot =
-    match sequence_of_id id with
-    | Some sequence -> Tenant.derive_slot ~tenant ~sequence ~slots:t.concurrency
-    | None -> 0
-  in
   Session.create ~id ~tenant ~params:p ~seed:(Option.get p.Session.seed)
     ~campaign_name:
       (Workload.campaign_name ~setup:p.Session.setup ~template:p.Session.template)
-    ?journal_path ?meta_path ~submitted:m.Session.meta_submitted ~slot ()
+    ?journal_path ?meta_path ~submitted:m.Session.meta_submitted ()
 
 (* A finished session's meta and terminal state, if [id] names one. *)
 let finished_meta t id =
@@ -211,33 +200,15 @@ let tenant_of t name =
     t.rr <- t.rr @ [ name ];
     ten
 
-(* Take the tenant's first pending session assigned to [slot], keeping
-   the relative order of everything else in the queue. *)
-let take_for_slot t ten ~slot =
-  let keep = Queue.create () in
-  let found = ref None in
-  Queue.iter
-    (fun id ->
-      if !found = None && (Hashtbl.find t.sessions id).Session.slot = slot then
-        found := Some id
-      else Queue.push id keep)
-    ten.Tenant.pending;
-  (match !found with
-  | Some _ ->
-    Queue.clear ten.Tenant.pending;
-    Queue.transfer keep ten.Tenant.pending
-  | None -> ());
-  !found
-
-(* Round-robin pick for one runner slot: first tenant (in rr order) with
-   pending work for that slot wins and moves to the back; the others keep
-   their relative order. *)
-let pick t ~slot =
+(* Round-robin pick for an idle runner: the first tenant (in rr order)
+   with pending work gives up its queue head and moves to the back; the
+   others keep their relative order. *)
+let pick t =
   let rec go seen = function
     | [] -> None
     | name :: rest -> (
       let ten = Hashtbl.find t.tenants name in
-      match take_for_slot t ten ~slot with
+      match Queue.take_opt ten.Tenant.pending with
       | None -> go (name :: seen) rest
       | Some id ->
         t.rr <- List.rev_append seen rest @ [ name ];
@@ -276,8 +247,7 @@ let finish_counter = function
   | Session.Cancelled -> "service.campaigns.cancelled"
   | _ -> "service.campaigns.failed"
 
-let run_session t s ~slot =
-  let pool = Pool.slice t.slices slot in
+let run_session t s ~pool =
   Session.set_state s Session.Running;
   (* No meta write here: a restart re-enqueues a queued meta exactly as
      a running one, and every write is a create plus a rename. *)
@@ -349,12 +319,12 @@ let run_session t s ~slot =
       t.server_metrics <-
         Metrics.incr (finish_counter (Session.state s)) t.server_metrics)
 
-let rec runner_loop t slot =
+let rec runner_loop t i =
   Mutex.lock t.lock;
   let rec next () =
     if t.stopping then None
     else
-      match pick t ~slot with
+      match pick t with
       | Some s -> Some s
       | None ->
         Condition.wait t.work t.lock;
@@ -363,15 +333,15 @@ let rec runner_loop t slot =
   match next () with
   | None -> Mutex.unlock t.lock
   | Some s ->
-    t.running.(slot) <- Some s;
+    t.running.(i) <- Some s;
     Mutex.unlock t.lock;
-    run_session t s ~slot;
+    run_session t s ~pool:t.pools.(i);
     Mutex.lock t.lock;
-    t.running.(slot) <- None;
+    t.running.(i) <- None;
     Tenant.finish (Hashtbl.find t.tenants s.Session.tenant);
     Condition.broadcast t.idle;
     Mutex.unlock t.lock;
-    runner_loop t slot
+    runner_loop t i
 
 (* ---- restart recovery ---- *)
 
@@ -417,16 +387,17 @@ let create ?(config = default_config) ?(start = true) () =
   let t =
     {
       cfg = config;
-      concurrency;
       lock = Mutex.create ();
       work = Condition.create ();
       idle = Condition.create ();
       tenants = Hashtbl.create 8;
       sessions = Hashtbl.create 32;
       finished_on_disk = 0;
-      slices =
-        Pool.create_sliced ~total:(Pool.resolve_jobs config.jobs)
-          ~slices:concurrency;
+      pools =
+        Array.map
+          (fun size -> Pool.create ~size)
+          (Pool.slice_widths ~total:(Pool.resolve_jobs config.jobs)
+             ~slices:concurrency);
       rr = [];
       submitted = 0;
       stopping = false;
@@ -455,8 +426,7 @@ let create ?(config = default_config) ?(start = true) () =
     recover t dir);
   if start then
     t.runners <-
-      List.init concurrency (fun slot ->
-          Thread.create (fun () -> runner_loop t slot) ());
+      List.init concurrency (fun i -> Thread.create (fun () -> runner_loop t i) ());
   t
 
 let submit t ~tenant params =
@@ -482,16 +452,13 @@ let submit t ~tenant params =
               | Some s -> s
               | None -> Tenant.derive_seed ~tenant ~sequence:seq
             in
-            let slot =
-              Tenant.derive_slot ~tenant ~sequence:seq ~slots:t.concurrency
-            in
             let id = Printf.sprintf "%s-%d" tenant seq in
             let submitted = t.submitted in
             t.submitted <- submitted + 1;
             let journal_path, meta_path = session_paths t.cfg id in
             let s =
               Session.create ~id ~tenant ~params ~seed ~campaign_name
-                ?journal_path ?meta_path ~submitted ~slot ()
+                ?journal_path ?meta_path ~submitted ()
             in
             Hashtbl.replace t.sessions id s;
             Queue.push id ten.Tenant.pending;
@@ -583,12 +550,12 @@ let metrics_snapshot t =
       in
       let m =
         Metrics.set_gauge "scheduler.slices"
-          (float_of_int (Pool.slice_count t.slices))
+          (float_of_int (Array.length t.pools))
           m
       in
       let m =
         Metrics.set_gauge "scheduler.slice_width"
-          (float_of_int (Pool.slice_width t.slices 0))
+          (float_of_int (Pool.size t.pools.(0)))
           m
       in
       let m =
@@ -635,5 +602,5 @@ let shutdown t =
   if proceed then begin
     List.iter Thread.join t.runners;
     t.runners <- [];
-    Pool.shutdown_sliced t.slices
+    Array.iter Pool.shutdown t.pools
   end

@@ -1,26 +1,31 @@
 (** The service's brain: admission control with per-tenant quotas,
-    per-tenant FIFO queues served round-robin by [concurrency] runner
-    threads (one per slice of a deterministically partitioned
-    {!Scamv_util.Pool}), and journal-backed persistence so a restarted
-    server resumes in-flight campaigns.
+    per-tenant FIFO queues, [concurrency] runner threads, and
+    journal-backed persistence so a restarted server resumes in-flight
+    campaigns.
 
-    Determinism: up to [concurrency] campaigns execute at once, each on
-    its own pool slice.  Slice widths are a pure function of
-    [(jobs, concurrency)] ({!Scamv_util.Pool.slice_widths}) and a
-    session's slot is a pure function of its (tenant, sequence) pair
-    ({!Tenant.derive_slot}) — never of arrival timing — so a served
-    campaign's journal and record stream are byte-identical to a batch
-    CLI run of the same (template, setup, seed, programs, tests) under
-    the same clock, at every [--concurrency] level, regardless of what
-    other tenants are doing. *)
+    Runners are work-conserving: an idle runner takes the head of the
+    next non-empty tenant queue, in round-robin order over tenants.
+    Each runner owns a persistent {!Scamv_util.Pool} whose width is its
+    share of [jobs] ({!Scamv_util.Pool.slice_widths}).  A runner of
+    width 1 computes inline on the server's main domain, shared with the
+    HTTP threads, so [K] campaigns compute in parallel only when
+    [jobs >= 2K]; below that, [concurrency] interleaves campaigns but
+    adds no cores ([jobs = 2, concurrency = 2] runs a campaign on no
+    worker domain, [jobs = 2, concurrency = 1] gives it two).
+
+    Determinism: a campaign's artifacts never depend on its pool's
+    width, so whichever runner takes it, a served campaign's journal and
+    record stream are byte-identical to a batch CLI run of the same
+    (template, setup, seed, programs, tests) under the same clock, at
+    every [--concurrency] level, regardless of what other tenants are
+    doing. *)
 
 type config = {
   jobs : int;
-      (** total worker budget partitioned across the slices; 0 = all
+      (** total worker budget split over the runners' pools; 0 = all
           cores *)
   concurrency : int;
-      (** runner slots = pool slices = campaigns that may execute at
-          once (>= 1) *)
+      (** runners = campaigns that may execute at once (>= 1) *)
   state_dir : string option;
       (** where [<id>.journal] / [<id>.meta.json] live, and the only copy
           of a finished campaign; [None] = no persistence (campaigns are
@@ -44,22 +49,20 @@ val create : ?config:config -> ?start:bool -> unit -> t
     {!Tenant.default_quota}, wall clock); when [config.state_dir] is set, recover previously
     persisted sessions first: every meta restores its tenant's sequence
     mark, and unfinished sessions are re-enqueued in original submission
-    order with the journal as a resume checkpoint, their slots re-derived
-    for the current concurrency.  Finished sessions stay on disk until
-    {!find} or {!list} reads them.  [start = false] skips the
-    runner threads — admission-control unit tests use this to exercise
-    queues without running campaigns.
+    order with the journal as a resume checkpoint.  Finished sessions
+    stay on disk until {!find} or {!list} reads them.  [start = false]
+    skips the runner threads — admission-control unit tests use this to
+    exercise queues without running campaigns.
     @raise Invalid_argument when [config.concurrency < 1]. *)
 
 val concurrency : t -> int
-(** The runner-slot count the scheduler was built with. *)
+(** The runner count the scheduler was built with. *)
 
 val submit :
   t -> tenant:string -> Session.params -> (Session.t, submit_error) result
 (** Validate (build the campaign through {!Workload.config}), apply the
     tenant quota, resolve the seed (submitted seed or
-    the tenant namespace draw) and the runner slot, persist the session
-    meta and enqueue. *)
+    the tenant namespace draw), persist the session meta and enqueue. *)
 
 val find : t -> string -> Session.t option
 (** A queued or running session from memory; otherwise, with a state
@@ -79,7 +82,7 @@ val cancel : t -> Session.t -> bool
     when already terminal. *)
 
 val drain : t -> unit
-(** Block until no session is queued or running on any slot.  Test/smoke
+(** Block until no session is queued or running.  Test/smoke
     helper; requires the runner threads ([start = true]). *)
 
 val bump : ?n:int -> t -> string -> unit
@@ -93,10 +96,12 @@ val register_gauge_source : t -> (unit -> (string * float) list) -> unit
     and must not call back into the scheduler. *)
 
 val metrics_snapshot : t -> Scamv_telemetry.Metrics.t
-(** Merged campaign telemetry + server counters + session/tenant/slice
-    gauges + registered gauge sources — the [GET /metrics] source. *)
+(** Merged campaign telemetry + server counters + session/tenant/runner
+    gauges (the runner count as [scheduler.slices], runner 0's pool
+    width as [scheduler.slice_width]) + registered gauge sources — the
+    [GET /metrics] source. *)
 
 val shutdown : t -> unit
 (** Stop accepting work, cancel queued sessions, cooperatively cancel the
-    running campaigns, join the runner threads and shut every pool slice
-    down.  Idempotent. *)
+    running campaigns, join the runner threads and shut every runner's
+    pool down.  Idempotent. *)

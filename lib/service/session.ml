@@ -169,7 +169,6 @@ type t = {
   journal_path : string option;
   meta_path : string option;
   submitted : int;  (** global submission index; orders [GET /campaigns] *)
-  slot : int;  (** scheduler runner slot / pool slice ({!Tenant.derive_slot}) *)
   cancel : Deadline.t;
   lock : Mutex.t;
   changed : Condition.t;
@@ -185,7 +184,7 @@ type t = {
 }
 
 let create ~id ~tenant ~params ~seed ~campaign_name ?journal_path ?meta_path
-    ~submitted ?(slot = 0) () =
+    ~submitted () =
   {
     id;
     tenant;
@@ -195,7 +194,6 @@ let create ~id ~tenant ~params ~seed ~campaign_name ?journal_path ?meta_path
     journal_path;
     meta_path;
     submitted;
-    slot;
     (* The token only ever expires by explicit [Deadline.cancel]. *)
     cancel = Deadline.create (Deadline.Wall_seconds infinity);
     lock = Mutex.create ();
@@ -253,11 +251,6 @@ let slice t from upto =
     if i < from then acc else collect (i - 1) (t.lines.(i) :: acc)
   in
   collect (upto - 1) []
-
-let lines_from t ~from =
-  locked t (fun () ->
-      let from = max 0 (min from t.nlines) in
-      (slice t from t.nlines, t.nlines, is_terminal t.state))
 
 let wait_lines t ~from =
   locked t (fun () ->

@@ -64,11 +64,6 @@ type t = {
   journal_path : string option;
   meta_path : string option;
   submitted : int;  (** global submission index; orders [GET /campaigns] *)
-  slot : int;
-      (** the scheduler runner slot (= pool slice) this session executes
-          on — {!Tenant.derive_slot} of (tenant, sequence, concurrency).
-          Not persisted: recovery re-derives it, so a restart under a
-          different [--concurrency] re-partitions cleanly. *)
   cancel : Scamv_util.Deadline.t;
       (** expires only by explicit {!Scamv_util.Deadline.cancel} — the
           [DELETE /campaigns/:id] path *)
@@ -95,7 +90,6 @@ val create :
   ?journal_path:string ->
   ?meta_path:string ->
   submitted:int ->
-  ?slot:int ->
   unit ->
   t
 
@@ -125,13 +119,11 @@ val conclude :
 
 val state : t -> state
 
-val lines_from : t -> from:int -> string list * int * bool
-(** [(lines, next, terminal)]: the lines at indexes [[from, next)] and
-    whether the session is already terminal.  Non-blocking. *)
-
 val wait_lines : t -> from:int -> string list * int * bool
-(** Like {!lines_from} but blocks until there is at least one new line or
-    the session is terminal.  A streaming connection loops: write the
+(** [(lines, next, terminal)]: the lines at indexes [[from, next)] and
+    whether the session is terminal.  Blocks until there is at least one
+    line past [from] or the session is terminal, so on a terminal
+    session it returns at once.  A streaming connection loops: write the
     lines, and stop once [terminal] is true with no new lines pending. *)
 
 (** {2 Wire renderings} *)

@@ -72,20 +72,3 @@ let derive_seed ~tenant ~sequence =
     Splitmix.of_seed (Int64.logxor (fnv1a64 tenant) (Int64.of_int sequence))
   in
   fst (Splitmix.next g)
-
-let derive_slot ~tenant ~sequence ~slots =
-  if slots <= 1 then 0
-  else begin
-    (* Second draw from the same (tenant, sequence) generator — the first
-       is the campaign seed ([derive_seed]).  A pure function of the pair
-       and the slot count, never of arrival timing or queue depth, so a
-       given submission always lands on the same pool slice and its
-       worker-count-dependent schedule is reproducible across server
-       runs. *)
-    let g =
-      Splitmix.of_seed (Int64.logxor (fnv1a64 tenant) (Int64.of_int sequence))
-    in
-    let _, g = Splitmix.next g in
-    let v, _ = Splitmix.next g in
-    Int64.to_int (Int64.unsigned_rem v (Int64.of_int slots))
-  end

@@ -45,12 +45,3 @@ val derive_seed : tenant:string -> sequence:int -> int64
     sequence number), so the nth campaign of a tenant draws the same seed
     regardless of server history or other tenants' traffic — submitting
     the same request stream always yields byte-identical artifacts. *)
-
-val derive_slot : tenant:string -> sequence:int -> slots:int -> int
-(** Which of the scheduler's [slots] runner slots (pool slices) this
-    submission executes on: the second draw of the same (tenant,
-    sequence) generator behind {!derive_seed}, reduced mod [slots].  A
-    pure function of the triple — never of arrival order or queue state —
-    so re-submitting the same request stream at the same [--concurrency]
-    always reproduces the slice assignment.  [slots <= 1] maps everything
-    to slot 0. *)

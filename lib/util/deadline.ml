@@ -68,7 +68,6 @@ let describe t =
   | Wall_seconds s -> Printf.sprintf "wall-clock deadline of %.3fs exceeded" s
 
 let cancel t = Atomic.set t.cancelled true
-let used t = t.used
 
 let expired t =
   Atomic.get t.cancelled
@@ -128,4 +127,3 @@ let with_current t f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set key previous) f
 
 let poll () = match Domain.DLS.get key with None -> () | Some t -> check t
-let charge n = match Domain.DLS.get key with None -> () | Some t -> tick t n

@@ -26,7 +26,7 @@ type spec = Conflicts of int | Wall_seconds of float
 type t
 
 exception Expired of string
-(** Raised by {!check} / {!poll}; the payload is {!describe}. *)
+(** Raised by {!poll}; the payload is {!describe}. *)
 
 val create : ?clock:Stopwatch.clock -> spec -> t
 (** Fresh un-expired token; [clock] (default {!Stopwatch.wall}) only
@@ -41,9 +41,6 @@ val cancel : t -> unit
 val tick : t -> int -> unit
 (** Charge [n] work units (virtual mode; a no-op signal for wall mode). *)
 
-val used : t -> int
-(** Work units charged so far. *)
-
 val expired : t -> bool
 (** Has the deadline passed?  Cheap enough for a hot loop: virtual mode is
     one comparison, wall mode reads the clock every 256th call. *)
@@ -54,15 +51,12 @@ val remaining_seconds : t -> float option
     consults the clock — meant for slow waiters computing a select(2)
     timeout (the service's idle-connection loop), not for hot loops. *)
 
-val check : t -> unit
-(** @raise Expired if {!expired}. *)
-
 (** {2 Ambient API}
 
     The current token is domain-local state ([Domain.DLS]), mirroring
     {!Scamv_telemetry.Collector}: installing a token on one domain is
-    invisible to every other, and all operations are no-ops when no token
-    is installed, so library code polls unconditionally. *)
+    invisible to every other, and {!poll} is a no-op when no token is
+    installed, so library code polls unconditionally. *)
 
 val with_current : t -> (unit -> 'a) -> 'a
 (** Install [t] as this domain's token for the callback (restoring the
@@ -71,7 +65,4 @@ val with_current : t -> (unit -> 'a) -> 'a
 val current : unit -> t option
 
 val poll : unit -> unit
-(** {!check} the ambient token, if any.  @raise Expired *)
-
-val charge : int -> unit
-(** {!tick} the ambient token, if any. *)
+(** @raise Expired if this domain's token has {!expired}. *)

@@ -256,38 +256,17 @@ let shutdown pool =
     List.iter Domain.join domains
   end
 
-(* ---- deterministic slicing ---- *)
-
-(* A sliced pool partitions a global worker budget into [slices] fixed
-   sub-pools so independent campaigns can run concurrently, each on its
-   own slice, without sharing batch state.  The widths are a pure
-   function of (total, slices) — never of arrival timing — so a given
-   slice index always commands the same worker count; combined with the
-   index-ordered batch protocol this keeps every campaign's output
-   byte-identical whatever else runs beside it. *)
-
-type sliced = { members : t array }
+(* ---- partitioning a worker budget ---- *)
 
 let slice_widths ~total ~slices =
   if total < 1 then invalid_arg "Pool.slice_widths: total must be >= 1";
   if slices < 1 then invalid_arg "Pool.slice_widths: slices must be >= 1";
   (* Even split with the remainder on the lowest indices; a slice never
      drops below one worker, so oversubscribed configurations (slices >
-     total) degrade to width-1 (inline, domain-free) slices rather than
+     total) degrade to width-1 (inline, domain-free) pools rather than
      failing. *)
   let base = total / slices and rem = total mod slices in
   Array.init slices (fun s -> max 1 (base + if s < rem then 1 else 0))
-
-let create_sliced ~total ~slices =
-  {
-    members =
-      Array.map (fun w -> create ~size:w) (slice_widths ~total ~slices);
-  }
-
-let slice sl i = sl.members.(i)
-let slice_count sl = Array.length sl.members
-let slice_width sl i = sl.members.(i).size
-let shutdown_sliced sl = Array.iter shutdown sl.members
 
 (* ---- one-shot batch API ---- *)
 

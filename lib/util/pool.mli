@@ -75,37 +75,13 @@ val shutdown : t -> unit
     {!exec} calls (they raise {!Shut_down}), and join every worker
     domain.  Idempotent. *)
 
-(** {2 Deterministic slicing}
-
-    A sliced pool partitions a global worker budget of [total] domains
-    into [slices] independent sub-pools, so a service can execute
-    several campaigns concurrently — each on its own slice — while every
-    campaign keeps the byte-identical-output guarantee of the batch
-    protocol.  Widths are a pure function of [(total, slices)]: an even
-    split with the remainder on the lowest slice indices, floored at one
-    worker per slice (oversubscribed configurations degrade to width-1
-    inline slices).  Slice [i] therefore always commands the same worker
-    count, independent of what the other slices are doing. *)
-
-type sliced
-(** A fixed partition of worker domains into independent pools. *)
-
 val slice_widths : total:int -> slices:int -> int array
-(** The deterministic partition: [slice_widths ~total ~slices].(i) is
-    the worker count of slice [i].
+(** Split a worker budget of [total] domains over [slices] pools (the
+    service's runners): an even split with the remainder on the lowest
+    indices, floored at one worker per slice, so oversubscribed
+    configurations degrade to width-1 inline pools.  A pure function of
+    [(total, slices)].
     @raise Invalid_argument when [total < 1] or [slices < 1]. *)
-
-val create_sliced : total:int -> slices:int -> sliced
-(** Spawn one persistent pool per slice, sized by {!slice_widths}. *)
-
-val slice : sliced -> int -> t
-(** The slice's own pool; pass it to [Campaign.run ~pool]. *)
-
-val slice_count : sliced -> int
-val slice_width : sliced -> int -> int
-
-val shutdown_sliced : sliced -> unit
-(** {!shutdown} every slice.  Idempotent. *)
 
 (** {2 One-shot batches} *)
 

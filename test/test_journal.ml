@@ -172,6 +172,72 @@ let test_v2_zero_length_file_recovers () =
   Alcotest.(check Alcotest.int) "no records" 0 recovery.Journal.records;
   Alcotest.(check Alcotest.int) "no events" 0 (List.length (Journal.events j))
 
+(* A length field too large to index must stop the scan like any other
+   damaged header, not overflow into an out-of-bounds read. *)
+let test_v2_oversized_length_recovers () =
+  let path = temp_path ".journal" in
+  write_file path
+    (Printf.sprintf "scamv-journal v2\nR %d 0\nabc\n" max_int);
+  let j, recovery = Journal.load ~path in
+  Alcotest.(check Alcotest.int) "no records" 0 recovery.Journal.records;
+  Alcotest.(check bool) "drop reported" true (recovery.Journal.dropped_bytes > 0);
+  Alcotest.(check Alcotest.int) "no events" 0 (List.length (Journal.events j))
+
+(* The fuzzing fixture: every event kind, quoted and multi-line fields,
+   and a RISC-V row with the 14th column. *)
+let fuzz_fixture =
+  lazy
+    (let path = temp_path ".journal" in
+     let j = Journal.create ~path () in
+     Journal.record j (entry ~campaign:"mct, \"refined\"" 0 Executor.Distinguishable);
+     Journal.record_event j
+       (Journal.Quarantined
+          { campaign = "c"; program_index = 1; pair = (0, 2); reason = "budget\nspent" });
+     Journal.record j (entry ~isa:Scamv_arch.Isa.Riscv ~retries:1 2 Executor.Inconclusive);
+     Journal.record_event j
+       (Journal.Diverged
+          { campaign = "c"; program_index = 3; pair = (1, 1);
+            aarch64 = Executor.Distinguishable; riscv = Executor.Indistinguishable });
+     Journal.record_event j
+       (Journal.Program_failed { campaign = "c"; program_index = 4; reason = "lift, failed" });
+     Journal.record_event j
+       (Journal.Crashed { campaign = "c"; program_index = 5; reason = "worker killed" });
+     Journal.record j (entry 6 Executor.Indistinguishable);
+     Journal.close j;
+     (read_file path, List.map Journal.as_stored (Journal.events j)))
+
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+(* One byte flipped to any other value, or the file cut anywhere: [load]
+   returns a prefix of the recorded events and raises nothing.  Only
+   damage inside the magic line may turn the file into a malformed v1
+   CSV, which is a [Parse_error]. *)
+let prop_damaged_journal_loads_prefix =
+  let magic_len = String.length "scamv-journal v2\n" in
+  let path = lazy (temp_path ".journal") in
+  QCheck.Test.make ~name:"damaged v2 journal loads a prefix" ~count:2000
+    QCheck.(triple bool (int_bound 1_000_000) (int_range 1 255))
+    (fun (cut, at, mask) ->
+      let whole, recorded = Lazy.force fuzz_fixture in
+      let n = String.length whole in
+      let damaged_at, damaged =
+        if cut then
+          let len = at mod (n + 1) in
+          (len, String.sub whole 0 len)
+        else
+          let i = at mod n in
+          (i, String.mapi (fun k c -> if k = i then Char.chr (Char.code c lxor mask) else c) whole)
+      in
+      let path = Lazy.force path in
+      write_file path damaged;
+      match Journal.load ~path with
+      | j, _ -> is_prefix (Journal.events j) recorded
+      | exception Journal.Parse_error _ -> damaged_at < magic_len)
+
 let test_isa_tail_compat () =
   (* The `isa` column is a tail extension: AArch64 rows keep the original
      13 fields byte-for-byte (so pre-ISA journals load as AArch64), RISC-V
@@ -465,6 +531,9 @@ let () =
             test_v2_zero_length_file_recovers;
           Alcotest.test_case "isa column is a compatible tail" `Quick
             test_isa_tail_compat;
+          Alcotest.test_case "oversized length field recovers" `Quick
+            test_v2_oversized_length_recovers;
+          QCheck_alcotest.to_alcotest prop_damaged_journal_loads_prefix;
         ] );
       ( "retry",
         [

@@ -256,7 +256,7 @@ let test_persistent_pool_consumer_abort_reusable () =
   Alcotest.(check Alcotest.int) "pool reusable after abort" 7 !consumed;
   Pool.shutdown pool
 
-(* ---- sliced pools (concurrent campaign scheduler) ---- *)
+(* ---- one pool per runner (concurrent campaign scheduler) ---- *)
 
 let test_slice_widths_partition () =
   (* Even split with the remainder on the low slices; never below 1 even
@@ -287,15 +287,17 @@ let test_slice_widths_partition () =
       ignore (Pool.slice_widths ~total:4 ~slices:0))
 
 let test_sliced_pool_independent_batches () =
-  (* Each slice is a full persistent pool: index-ordered batches run on
-     different slices concurrently without interleaving results. *)
-  let sl = Pool.create_sliced ~total:4 ~slices:2 in
-  Alcotest.(check Alcotest.int) "slices" 2 (Pool.slice_count sl);
-  Alcotest.(check Alcotest.int) "slice 0 width" 2 (Pool.slice_width sl 0);
-  Alcotest.(check Alcotest.int) "slice 1 width" 2 (Pool.slice_width sl 1);
+  (* The scheduler gives each runner a full persistent pool sized by
+     [slice_widths]: index-ordered batches run on different pools
+     concurrently without interleaving results. *)
+  let pools =
+    Array.map (fun size -> Pool.create ~size) (Pool.slice_widths ~total:4 ~slices:2)
+  in
+  Alcotest.(check (Alcotest.array Alcotest.int)) "widths" [| 2; 2 |]
+    (Array.map Pool.size pools);
   let run slot =
     let consumed = ref [] in
-    Pool.exec (Pool.slice sl slot) ~tasks:6
+    Pool.exec pools.(slot) ~tasks:6
       ~worker:(fun i -> (slot * 100) + i)
       ~consume:(fun i r ->
         match r with
@@ -317,15 +319,15 @@ let test_sliced_pool_independent_batches () =
       true
       (results.(slot) = expected)
   done;
-  Pool.shutdown_sliced sl;
-  (* idempotent, and every slice now rejects work *)
-  Pool.shutdown_sliced sl;
+  Array.iter Pool.shutdown pools;
+  (* idempotent, and every pool now rejects work *)
+  Array.iter Pool.shutdown pools;
   match
-    Pool.exec (Pool.slice sl 0) ~tasks:1 ~worker:(fun i -> i)
+    Pool.exec pools.(0) ~tasks:1 ~worker:(fun i -> i)
       ~consume:(fun _ _ -> ())
       ()
   with
-  | () -> Alcotest.fail "exec on a shut-down slice succeeded"
+  | () -> Alcotest.fail "exec on a shut-down pool succeeded"
   | exception Pool.Shut_down -> ()
 
 (* ---- Stats.merge ---- *)

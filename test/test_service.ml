@@ -1,5 +1,5 @@
 (* Validation service: HTTP request parsing and keep-alive semantics,
-   routing, tenant quotas / seed and slot namespaces, session streaming
+   routing, tenant quotas and seed namespace, session streaming
    semantics, scheduler admission control / backpressure / cancellation,
    over-the-wire connection management (persistent connections, idle
    timeout, request cap, 503 load shedding), and the acceptance tests
@@ -145,32 +145,6 @@ let test_tenant_names_and_seeds () =
   Alcotest.(check bool) "per-tenant" true
     (s1 <> Tenant.derive_seed ~tenant:"bob" ~sequence:0)
 
-let test_tenant_slot_namespace () =
-  (* A pure function of (tenant, sequence, slots): stable across calls,
-     always in range, degenerate at slots <= 1. *)
-  Alcotest.(check int) "one slot" 0
-    (Tenant.derive_slot ~tenant:"a" ~sequence:3 ~slots:1);
-  for slots = 2 to 5 do
-    for seq = 0 to 19 do
-      let slot = Tenant.derive_slot ~tenant:"t" ~sequence:seq ~slots in
-      Alcotest.(check bool) "in range" true (slot >= 0 && slot < slots);
-      Alcotest.(check int) "stable" slot
-        (Tenant.derive_slot ~tenant:"t" ~sequence:seq ~slots)
-    done
-  done;
-  (* the namespace actually spreads: 20 sequences over 2 slots must use
-     both (the draw is a fixed splitmix stream, so this cannot flake) *)
-  let slots_used =
-    List.sort_uniq compare
-      (List.init 20 (fun seq -> Tenant.derive_slot ~tenant:"t" ~sequence:seq ~slots:2))
-  in
-  Alcotest.(check (list int)) "both slots used" [ 0; 1 ] slots_used;
-  (* independent of the seed draw: slot and seed come from different
-     splitmix positions of the same generator *)
-  Alcotest.(check bool) "seed unchanged by slot draw" true
-    (Tenant.derive_seed ~tenant:"t" ~sequence:4
-    = Tenant.derive_seed ~tenant:"t" ~sequence:4)
-
 let test_tenant_quota () =
   let ten = Tenant.create ~name:"t" ~quota:{ Tenant.max_backlog = 2; max_active = 3 } in
   let admit () = Tenant.admit ten in
@@ -283,7 +257,7 @@ let test_session_stream_semantics () =
   let s = make_session () in
   Session.push_line s "one";
   Session.push_line s "two";
-  let lines, next, terminal = Session.lines_from s ~from:0 in
+  let lines, next, terminal = Session.wait_lines s ~from:0 in
   Alcotest.(check (list string)) "lines" [ "one"; "two" ] lines;
   Alcotest.(check int) "next" 2 next;
   Alcotest.(check bool) "not terminal" false terminal;
@@ -301,9 +275,44 @@ let test_session_stream_semantics () =
     Alcotest.(check bool) "done line terminal" true
       (String.length done_line >= 8 && String.sub done_line 0 8 = "{\"done\":")
   | other -> Alcotest.fail (Printf.sprintf "waiter saw %d lines" (List.length other)));
-  let all, _, terminal = Session.lines_from s ~from:0 in
+  let all, _, terminal = Session.wait_lines s ~from:0 in
   Alcotest.(check int) "terminal stream length" 3 (List.length all);
   Alcotest.(check bool) "terminal" true terminal
+
+(* A terminal meta as the scheduler persists it, with every optional
+   field present and escaped bytes in the failure reason. *)
+let meta_fixture =
+  lazy
+    (let s = make_session () in
+     Session.push_progress s "resumed at program 1";
+     Session.push_line s "{\"record\":{}}";
+     Session.conclude s (Session.Failed "lift \"x\"\n\xff")
+       ~stats:(Json.Obj [ ("experiments", Json.Num 4.); ("share", Json.Num 0.25) ])
+       ~wall_seconds:1.5 ();
+     Json.to_string ~pretty:true (Session.meta_json s))
+
+(* The meta reader [recover] and [find] depend on: a truncated,
+   overwritten, deleted or inserted byte makes [Json.of_string] raise
+   nothing but [Parse_error], and [meta_of_json] raise nothing at all. *)
+let prop_mutated_meta_json =
+  QCheck.Test.make ~name:"mutated meta JSON raises only Parse_error" ~count:2000
+    QCheck.(triple (int_bound 3) (int_bound 1_000_000) (int_bound 255))
+    (fun (op, at, byte) ->
+      let meta = Lazy.force meta_fixture in
+      let n = String.length meta in
+      let i = at mod n and c = String.make 1 (Char.chr byte) in
+      let mutated =
+        match op with
+        | 0 -> String.sub meta 0 i
+        | 1 -> String.sub meta 0 i ^ c ^ String.sub meta (i + 1) (n - i - 1)
+        | 2 -> String.sub meta 0 i ^ String.sub meta (i + 1) (n - i - 1)
+        | _ -> String.sub meta 0 i ^ c ^ String.sub meta i (n - i)
+      in
+      match Json.of_string mutated with
+      | json ->
+        ignore (Session.meta_of_json json);
+        true
+      | exception Json.Parse_error _ -> true)
 
 (* ---- scheduler: admission control (no runner thread) ---- *)
 
@@ -355,7 +364,6 @@ let test_scheduler_admission () =
   Alcotest.(check string) "id" "a-0" a0.Session.id;
   Alcotest.(check bool) "namespace seed" true
     (a0.Session.seed = Tenant.derive_seed ~tenant:"a" ~sequence:0);
-  Alcotest.(check int) "concurrency-1 slot" 0 a0.Session.slot;
   (* cancelling a queued session frees its backlog slot immediately *)
   Alcotest.(check bool) "cancel" true (Scheduler.cancel t a0);
   Alcotest.(check bool) "cancel idempotent" false (Scheduler.cancel t a0);
@@ -364,7 +372,7 @@ let test_scheduler_admission () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "slot not freed by cancel");
   (* the cancelled session's stream is exactly one done line *)
-  (match Session.lines_from a0 ~from:0 with
+  (match Session.wait_lines a0 ~from:0 with
   | [ line ], _, true ->
     Alcotest.(check bool) "cancelled done line" true
       (String.length line >= 20 && String.sub line 0 20 = "{\"done\":\"cancelled\"}")
@@ -401,7 +409,7 @@ let test_scheduler_cancel_running () =
   Alcotest.(check bool) "cancelled" true (Session.state s = Session.Cancelled);
   (* the drained campaign journals every unfinished program as crashed
      with the normalized cancel reason *)
-  let lines, _, _ = Session.lines_from s ~from:0 in
+  let lines, _, _ = Session.wait_lines s ~from:0 in
   Alcotest.(check bool) "cancel reason recorded" true
     (List.exists
        (fun l ->
@@ -430,7 +438,7 @@ let batch_reference ~programs ~tests_per_program ~seed =
   (List.map Session.record_line (Journal.events journal), ref_path)
 
 let record_lines_of s =
-  let lines, _, _ = Session.lines_from s ~from:0 in
+  let lines, _, _ = Session.wait_lines s ~from:0 in
   List.filter
     (fun l -> String.length l >= 10 && String.sub l 0 10 = "{\"record\":")
     lines
@@ -465,7 +473,7 @@ let test_scheduler_stream_matches_batch () =
     (read_file served_journal)
 
 (* Concurrency acceptance: two campaigns in flight at once, each on its
-   own pool slice, still produce streams byte-identical to batch runs. *)
+   own runner's pool, still produce streams byte-identical to batch runs. *)
 let test_scheduler_concurrent_matches_batch () =
   let t =
     Scheduler.create ~config:(sched_config ~jobs:2 ~concurrency:2 ()) ()
@@ -480,8 +488,8 @@ let test_scheduler_concurrent_matches_batch () =
     | Ok s -> s
     | Error _ -> Alcotest.fail "submit failed"
   in
-  (* Submissions from distinct tenants spread over the slot namespace;
-     whatever the assignment, both must match their batch references. *)
+  (* Whichever runner takes each campaign, both must match their batch
+     references. *)
   let sessions =
     List.map
       (fun (tenant, seed) -> (submit tenant seed, seed))
@@ -491,13 +499,47 @@ let test_scheduler_concurrent_matches_batch () =
   List.iter
     (fun (s, seed) ->
       Alcotest.(check bool) "completed" true (Session.state s = Session.Completed);
-      Alcotest.(check bool) "slot in range" true
-        (s.Session.slot >= 0 && s.Session.slot < 2);
       let expected, _ = batch_reference ~programs:3 ~tests_per_program:2 ~seed in
       Alcotest.(check (list string))
         (Printf.sprintf "stream of %s matches batch" s.Session.id)
         expected (record_lines_of s))
     sessions;
+  Scheduler.shutdown t
+
+(* Runners are work-conserving: with two runners, a tenant's second
+   campaign starts on the idle runner while its first one is still
+   computing, instead of queueing behind it. *)
+let test_scheduler_idle_runner_takes_next () =
+  let t = Scheduler.create ~config:(sched_config ~concurrency:2 ()) () in
+  let submit params =
+    match Scheduler.submit t ~tenant:"work" params with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "submit failed"
+  in
+  let long =
+    submit { Session.default_params with Session.programs = 200; tests_per_program = 4 }
+  in
+  let short =
+    submit
+      { Session.default_params with Session.template = "D";
+        setup = "mct-vs-mspec-sl"; programs = 1; tests_per_program = 1 }
+  in
+  let give_up = Unix.gettimeofday () +. 60.0 in
+  while
+    not (Session.is_terminal (Session.state short)
+         || Session.is_terminal (Session.state long)
+         || Unix.gettimeofday () > give_up)
+  do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check string) "second campaign completed" "completed"
+    (Session.state_name (Session.state short));
+  Alcotest.(check string) "first campaign still running" "running"
+    (Session.state_name (Session.state long));
+  Alcotest.(check bool) "cancel the first" true (Scheduler.cancel t long);
+  wait_terminal long;
+  Alcotest.(check string) "first campaign cancelled" "cancelled"
+    (Session.state_name (Session.state long));
   Scheduler.shutdown t
 
 (* A served differential campaign honours its per-program virtual
@@ -534,7 +576,7 @@ let fresh_dir () =
   dir
 
 let all_lines s =
-  let lines, _, _ = Session.lines_from s ~from:0 in
+  let lines, _, _ = Session.wait_lines s ~from:0 in
   lines
 
 let status_bytes s = Json.to_string (Session.status_json s)
@@ -960,7 +1002,6 @@ let () =
         [
           Alcotest.test_case "names and seed namespace" `Quick
             test_tenant_names_and_seeds;
-          Alcotest.test_case "slot namespace" `Quick test_tenant_slot_namespace;
           Alcotest.test_case "quota admission" `Quick test_tenant_quota;
         ] );
       ( "workload",
@@ -970,6 +1011,7 @@ let () =
           Alcotest.test_case "params JSON" `Quick test_session_params_json;
           Alcotest.test_case "stream wait/conclude" `Quick
             test_session_stream_semantics;
+          QCheck_alcotest.to_alcotest prop_mutated_meta_json;
         ] );
       ( "scheduler",
         [
@@ -981,6 +1023,8 @@ let () =
             test_scheduler_stream_matches_batch;
           Alcotest.test_case "concurrent campaigns match batch runs" `Quick
             test_scheduler_concurrent_matches_batch;
+          Alcotest.test_case "an idle runner takes the next campaign" `Quick
+            test_scheduler_idle_runner_takes_next;
           Alcotest.test_case "diff campaign honours its deadline" `Quick
             test_scheduler_diff_deadline;
           Alcotest.test_case "one stream live, evicted and restarted" `Quick

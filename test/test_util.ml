@@ -276,10 +276,9 @@ let test_deadline_conflicts () =
   Alcotest.(check bool) "under limit" false (Deadline.expired d);
   Deadline.tick d 1;
   Alcotest.(check bool) "at limit" true (Deadline.expired d);
-  Alcotest.(check Alcotest.int) "used" 3 (Deadline.used d);
-  (match Deadline.check d with
+  (match Deadline.with_current d Deadline.poll with
   | exception Deadline.Expired _ -> ()
-  | () -> Alcotest.fail "check did not raise");
+  | () -> Alcotest.fail "poll did not raise");
   (* Sticky: once expired, stays expired. *)
   Alcotest.(check bool) "sticky" true (Deadline.expired d)
 
@@ -304,18 +303,18 @@ let test_deadline_invalid () =
 
 let test_deadline_ambient () =
   Alcotest.(check bool) "no ambient token" true (Deadline.current () = None);
-  (* poll/charge are no-ops without a token. *)
+  (* poll is a no-op without a token. *)
   Deadline.poll ();
-  Deadline.charge 5;
   let d = Deadline.create (Deadline.Conflicts 2) in
   let observed =
     Deadline.with_current d (fun () ->
-        Deadline.charge 2;
+        (* the SAT search's charge: tick the ambient token per conflict *)
+        Option.iter (fun d -> Deadline.tick d 2) (Deadline.current ());
         match Deadline.poll () with
         | exception Deadline.Expired _ -> true
         | () -> false)
   in
-  Alcotest.(check bool) "ambient charge expires token" true observed;
+  Alcotest.(check bool) "ambient tick expires token" true observed;
   Alcotest.(check bool) "token restored after scope" true (Deadline.current () = None)
 
 (* ---- Chaos ---- *)
