@@ -27,8 +27,12 @@ smoke_run = $(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) $(2) > $(1).out && cat $(
 
 # Then the catalogue commands on both ISAs, with a partition setup and a
 # refined one.  An out-of-range count, an unwritable --csv path (here a
-# directory) and a --resume checkpoint that is a malformed v1 CSV must be
-# usage errors (exit 124) rather than crashes (125).
+# directory) and a --resume checkpoint that is a plain CSV rather than a
+# framed journal must be usage errors (exit 124) rather than crashes (125).
+# So must `serve` on a state dir holding a campaign log without --resume,
+# and with --resume on one that holds files but no log (a dir an earlier
+# build wrote).  Those two run under `timeout -s KILL`, so a server that
+# starts serving fails with 137 instead of hanging.
 smoke: build
 	$(call smoke_run,smoke.a64.j1,--jobs 1)
 	$(call smoke_run,smoke.a64.j4,--jobs 4)
@@ -47,6 +51,13 @@ smoke: build
 	printf 'campaign,kind\nx,bogus\n' > smoke.resume.csv
 	$(DUNE) exec bin/scamv_cli.exe -- campaign -p 2 -k 2 --resume smoke.resume.csv \
 		2> /dev/null; test $$? = 124
+	rm -rf smoke.state.log smoke.state.old && mkdir smoke.state.log smoke.state.old
+	printf 'scamv-campaigns v1\n' > smoke.state.log/campaigns.log
+	timeout -s KILL 10 _build/default/bin/scamv_cli.exe serve --port 0 \
+		--state-dir smoke.state.log > /dev/null 2>&1; test $$? = 124
+	printf '{}' > smoke.state.old/a-0.meta.json
+	timeout -s KILL 10 _build/default/bin/scamv_cli.exe serve --port 0 \
+		--state-dir smoke.state.old --resume > /dev/null 2>&1; test $$? = 124
 
 check: build test smoke
 

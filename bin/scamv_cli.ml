@@ -39,6 +39,7 @@ let isa_arg =
 
 (* Catalogue and range errors become cmdliner usage errors (exit 124). *)
 let usage r = Result.map_error (fun m -> `Msg m) r
+let require ok msg = if ok then Ok () else Error (`Msg msg)
 
 (* The journal opens its [--csv] file only at the first record, after the
    campaign has started, so an unwritable path is probed up front and
@@ -201,22 +202,15 @@ let campaign_cmd =
     let ( let* ) = Result.bind in
     let* isa = usage (Isa.of_string isa_name) in
     let* () =
-      if fault_rate < 0.0 || fault_rate > 1.0 then
-        Error (`Msg "--fault-rate must be within [0, 1]")
-      else Ok ()
+      require (fault_rate >= 0.0 && fault_rate <= 1.0) "--fault-rate must be within [0, 1]"
     in
     let* () =
-      if max_attempts < 1 || confirm < 1 then
-        Error (`Msg "--max-attempts and --confirm must be at least 1")
-      else Ok ()
+      require (max_attempts >= 1 && confirm >= 1)
+        "--max-attempts and --confirm must be at least 1"
     in
+    let* () = require (jobs >= 0) "--jobs must be at least 0" in
     let* () =
-      if jobs < 0 then Error (`Msg "--jobs must be at least 0") else Ok ()
-    in
-    let* () =
-      if chaos_rate < 0.0 || chaos_rate > 1.0 then
-        Error (`Msg "--chaos-rate must be within [0, 1]")
-      else Ok ()
+      require (chaos_rate >= 0.0 && chaos_rate <= 1.0) "--chaos-rate must be within [0, 1]"
     in
     let retry = Scamv.Retry.make ~max_attempts ~confirm () in
     let faults =
@@ -243,8 +237,8 @@ let campaign_cmd =
       (* Loading the checkpoint is the first thing the run does, before
          the journal records (and creates its file), so an exception with
          nothing recorded came from the load.  The load keeps a torn tail
-         (and the run reports it): only an unreadable file or a malformed
-         v1 CSV ends here. *)
+         (and the run reports it): only an unreadable file or one that is
+         not a journal ends here. *)
       match Campaign.run ~on_event ~journal ?resume ~jobs cfg with
       | outcome -> Ok outcome
       | exception (Scamv.Journal.Parse_error msg | Sys_error msg)
@@ -398,9 +392,7 @@ let diff_cmd =
   let run template_name setup_name programs tests seed verbose csv max_conflicts
       portfolio jobs frozen =
     let ( let* ) = Result.bind in
-    let* () =
-      if jobs < 0 then Error (`Msg "--jobs must be at least 0") else Ok ()
-    in
+    let* () = require (jobs >= 0) "--jobs must be at least 0" in
     let clock =
       if frozen then Scamv_util.Stopwatch.frozen else Scamv_util.Stopwatch.wall
     in
@@ -533,8 +525,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "state-dir" ] ~docv:"DIR"
           ~doc:
-            "Persist each campaign's journal and metadata under $(docv); \
-             without it campaigns are lost on restart.")
+            "Persist each campaign's journal, and a log of every \
+             campaign's state, under $(docv); without it campaigns are \
+             lost on restart.")
   in
   let resume_arg =
     Arg.(
@@ -569,46 +562,32 @@ let serve_cmd =
   let run host port jobs concurrency max_connections idle_timeout state_dir
       resume max_backlog max_active frozen =
     let ( let* ) = Result.bind in
+    let* () = require (jobs >= 0) "--jobs must be at least 0" in
+    let* () = require (concurrency >= 1) "--concurrency must be at least 1" in
+    let* () = require (max_connections >= 1) "--max-connections must be at least 1" in
+    let* () = require (idle_timeout > 0.0) "--idle-timeout must be positive" in
     let* () =
-      if jobs < 0 then Error (`Msg "--jobs must be at least 0") else Ok ()
+      require (max_backlog >= 1 && max_active >= 1)
+        "--max-backlog and --max-active must be at least 1"
     in
     let* () =
-      if concurrency < 1 then Error (`Msg "--concurrency must be at least 1")
-      else Ok ()
-    in
-    let* () =
-      if max_connections < 1 then
-        Error (`Msg "--max-connections must be at least 1")
-      else Ok ()
-    in
-    let* () =
-      if idle_timeout <= 0.0 then
-        Error (`Msg "--idle-timeout must be positive")
-      else Ok ()
-    in
-    let* () =
-      if max_backlog < 1 || max_active < 1 then
-        Error (`Msg "--max-backlog and --max-active must be at least 1")
-      else Ok ()
-    in
-    let* () =
-      (* A state dir with history from a previous server life must be
-         adopted explicitly: silently ignoring it would reuse tenant
-         sequence numbers and clobber old journals. *)
+      (* A state dir must be fresh (absent or empty), or adopted with
+         --resume from its campaign log: starting afresh on old files, or
+         adopting a dir without a log (one an earlier build wrote), would
+         reuse tenant sequence numbers and clobber old journals. *)
+      let log = Scamv_service.Scheduler.log_file in
       match state_dir with
-      | Some dir when (not resume) && Sys.file_exists dir ->
-        let stale =
-          Sys.readdir dir |> Array.to_list
-          |> List.exists (fun f -> Filename.check_suffix f ".meta.json")
+      | Some dir when Sys.file_exists dir && Sys.readdir dir <> [||] ->
+        let* () =
+          require resume
+            (Printf.sprintf
+               "%s is not empty; pass --resume to adopt the campaigns in its \
+                %s or choose a fresh directory"
+               dir log)
         in
-        if stale then
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "%s already holds campaigns from a previous run; pass \
-                  --resume to adopt them or choose a fresh directory"
-                 dir))
-        else Ok ()
+        require
+          (Sys.file_exists (Filename.concat dir log))
+          (Printf.sprintf "%s holds files but no %s; it cannot be resumed" dir log)
       | _ -> Ok ()
     in
     let config =

@@ -1,7 +1,7 @@
 module Executor = Scamv_microarch.Executor
 module Isa = Scamv_arch.Isa
-module Crc32 = Scamv_util.Crc32
 module Chaos = Scamv_util.Chaos
+module Frame = Scamv_util.Frame
 
 type entry = {
   campaign : string;
@@ -104,25 +104,15 @@ let event_row ev =
       d.program_index (fst d.pair) (snd d.pair) (verdict_string d.aarch64)
       (verdict_string d.riscv)
 
-(* ---- v2 on-disk framing ----
+(* ---- on-disk framing ----
 
-   The incremental on-disk format frames each CSV row (sans trailing
-   newline) as
-
-     R <payload-length> <crc32-hex>\n<payload>\n
-
-   after a magic first line.  Length prefix and checksum make a torn or
-   corrupted tail detectable: the loader keeps the longest clean prefix of
-   records and reports what it dropped, instead of failing to parse — the
-   property [--resume] relies on after a mid-write kill. *)
+   Each CSV row (sans trailing newline) is one {!Scamv_util.Frame} record
+   after the magic first line, so a torn or corrupted tail is detectable:
+   the loader keeps the longest clean prefix of records and reports what
+   it dropped, instead of failing to parse — the property [--resume]
+   relies on after a mid-write kill. *)
 
 let magic = "scamv-journal v2"
-
-let frame ?(corrupt_crc = false) payload =
-  let crc = Crc32.string payload in
-  let crc = if corrupt_crc then crc lxor 0xFF else crc in
-  Printf.sprintf "R %d %s\n%s\n" (String.length payload) (Crc32.to_hex crc)
-    payload
 
 let event_payload ev =
   let row = event_row ev in
@@ -164,7 +154,7 @@ let persist t ev =
        surviving run eventually writes, so chaos journals stay
        byte-identical across jobs levels. *)
     let corrupt_crc = injected "journal.poison" in
-    Buffer.add_string t.pending (frame ~corrupt_crc (event_payload ev));
+    Frame.add ~corrupt_crc t.pending (event_payload ev);
     if not (injected "journal.delay") then begin
       Buffer.output_buffer oc t.pending;
       Buffer.clear t.pending;
@@ -398,84 +388,15 @@ let event_of_fields fields =
       (Parse_error
          (Printf.sprintf "expected 13 fields, got %d" (List.length fields)))
 
-let of_csv content =
-  let t = create () in
-  (match parse_records content with
-  | [] -> ()
-  | header :: rows ->
-    (match header with
-    | "campaign" :: "kind" :: _ -> ()
-    | _ -> raise (Parse_error "missing journal CSV header"));
-    List.iter
-      (fun fields ->
-        (* Tolerate a trailing blank record from a final newline. *)
-        match fields with [ "" ] | [] -> () | _ -> record_event t (event_of_fields fields))
-      rows);
-  t
-
-(* ---- v2 parsing with tail recovery ---- *)
+(* ---- loading with tail recovery ---- *)
 
 type recovery = { records : int; dropped_bytes : int }
 
-let is_v2 content =
-  let m = magic ^ "\n" in
-  String.length content >= String.length m
-  && String.sub content 0 (String.length m) = m
-
-(* Parse the longest clean prefix of framed records.  Any structural or
-   checksum failure stops the scan — deliberately without skipping forward:
-   once one record is suspect, nothing after it can be trusted to align,
-   and resume semantics only need a clean prefix (the campaign re-runs
-   everything from the first damaged program). *)
-let parse_v2 content =
-  let t = create () in
-  let n = String.length content in
-  let pos = ref (String.length magic + 1) in
-  let records = ref 0 in
-  let stopped = ref false in
-  while (not !stopped) && !pos < n do
-    let record_ok =
-      match String.index_from_opt content !pos '\n' with
-      | None -> None
-      | Some nl -> (
-        let header = String.sub content !pos (nl - !pos) in
-        match Scanf.sscanf_opt header "R %d %x%!" (fun len crc -> (len, crc)) with
-        | None -> None
-        | Some (len, crc) ->
-          let start = nl + 1 in
-          (* a difference, so that a huge [len] cannot overflow *)
-          if len < 0 || len >= n - start || content.[start + len] <> '\n' then
-            None
-          else
-            let payload = String.sub content start len in
-            if Crc32.string payload <> crc then None
-            else begin
-              match parse_records (payload ^ "\n") with
-              | exception Parse_error _ -> None
-              | [ fields ] -> (
-                match event_of_fields fields with
-                | ev -> Some (ev, start + len + 1)
-                | exception Parse_error _ -> None)
-              | _ -> None
-            end)
-    in
-    match record_ok with
-    | Some (ev, next_pos) ->
-      record_event t ev;
-      incr records;
-      pos := next_pos
-    | None -> stopped := true
-  done;
-  (t, { records = !records; dropped_bytes = n - !pos })
-
-let of_string_tolerant content =
-  if is_v2 content then parse_v2 content
-  else
-    (* v1 plain-CSV files were only ever written whole, by earlier
-       builds, so there is no torn tail to recover from: parse strictly
-       and report a clean recovery. *)
-    let t = of_csv content in
-    (t, { records = List.length (events t); dropped_bytes = 0 })
+let event_of_payload payload =
+  match parse_records (payload ^ "\n") with
+  | [ fields ] -> ( try Some (event_of_fields fields) with Parse_error _ -> None)
+  | _ -> None
+  | exception Parse_error _ -> None
 
 let read_file path =
   let ic = open_in_bin path in
@@ -483,4 +404,21 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ~path = of_string_tolerant (read_file path)
+(* Keep the longest clean prefix of records.  Any structural, checksum or
+   row failure stops the scan — deliberately without skipping forward:
+   once one record is suspect, nothing after it can be trusted to align,
+   and resume semantics only need a clean prefix (the campaign re-runs
+   everything from the first damaged program). *)
+let load ~path =
+  let content = read_file path in
+  let t = create () in
+  let clean_end =
+    match Frame.records_start ~magic content with
+    | Some pos ->
+      snd
+        (Frame.fold content ~pos ~init:() (fun () ~offset:_ payload ->
+             Option.map (record_event t) (event_of_payload payload)))
+    | None when Frame.torn_magic ~magic content -> 0
+    | None -> raise (Parse_error ("not a journal: the first line is not " ^ magic))
+  in
+  (t, { records = List.length t.events_rev; dropped_bytes = String.length content - clean_end })

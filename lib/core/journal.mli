@@ -5,14 +5,13 @@
     persists itself incrementally to disk and can be loaded back, which is
     the basis of campaign checkpoint/resume.
 
-    On-disk format (v2): a magic first line, then one framed record per
-    event — [R <length> <crc32>\n<csv-row>\n].  The length prefix and
-    checksum make a torn or corrupted tail {e detectable}: {!load} keeps
-    the longest clean prefix and reports what it dropped, so a campaign
-    SIGKILLed mid-write still leaves a usable checkpoint (see DESIGN.md,
-    "Failure domains and supervision").  v1 plain-CSV checkpoints (the
-    {!to_csv} format, written by earlier builds) are still read
-    transparently.
+    On-disk format (v2): a magic first line, then one framed record
+    ({!Scamv_util.Frame}) per event — [R <length> <crc32>\n<csv-row>\n].
+    The length prefix and checksum make a torn or corrupted tail
+    {e detectable}: {!load} keeps the longest clean prefix and reports
+    what it dropped, so a campaign SIGKILLed mid-write still leaves a
+    usable checkpoint (see DESIGN.md, "Failure domains and
+    supervision").  This is the only format {!load} reads.
 
     Thread-safety: a journal buffers records and owns an output channel
     with no internal locking.  In a parallel campaign it is only ever
@@ -107,16 +106,12 @@ val as_stored : event -> event
     same whether it was produced live or read back from disk. *)
 
 val to_csv : t -> string
-(** v1 snapshot: header plus one CSV row per event; fields are
-    comma-separated, free-form strings (campaign, template, reason)
-    quoted. *)
+(** The events as plain CSV: a header, then one row per event — the rows
+    the on-disk frames carry, with free-form strings (campaign, template,
+    reason) quoted.  A rendering for comparing journals (tests and the
+    chaos harness diff it); nothing reads it back. *)
 
 exception Parse_error of string
-
-val of_csv : string -> t
-(** Parse a v1 CSV journal back from {!to_csv} output.  Quoting of
-    embedded commas, double quotes and newlines round-trips.
-    @raise Parse_error on malformed input. *)
 
 type recovery = {
   records : int;  (** clean records recovered *)
@@ -124,15 +119,17 @@ type recovery = {
 }
 
 val load : path:string -> t * recovery
-(** Tolerant load, the [--resume] entry point: for v2 content, keep the
-    longest clean prefix of framed records and drop the rest — a
-    truncated final record, a flipped checksum byte, or an empty file all
-    yield a usable journal.  The scan stops at the {e first} damaged
-    record (no skipping forward): once one record is suspect nothing
-    after it is trusted, and resume only needs a clean prefix.  v1
-    content is parsed strictly (earlier builds only wrote it whole, so
-    there is no torn tail to tolerate).
-    @raise Parse_error only for malformed v1 content. *)
+(** Tolerant load, the [--resume] entry point: keep the longest clean
+    prefix of framed records and drop the rest — a truncated final
+    record or a flipped checksum byte yields a usable journal.  An empty
+    file, or one holding a prefix of the magic line (a kill between
+    creating the file and its first flush), loads as an empty journal.
+    The scan stops at the {e first} damaged record (no skipping
+    forward): once one record is suspect nothing after it is trusted,
+    and resume only needs a clean prefix.
+    @raise Parse_error when the file does not start with the magic line
+    (a plain-CSV file written by builds before the framed format
+    included). *)
 
 val verdict_string : Scamv_microarch.Executor.verdict -> string
 (** The CSV/JSON verdict word: ["distinguishable"] /

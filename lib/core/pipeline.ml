@@ -58,11 +58,7 @@ type pair_session = {
 type t = {
   cfg : config;
   seed : int64;  (* prepare seed: keys the chaos site below *)
-  isa_program : Isa.program;
-  bir_program : Scamv_bir.Program.t;
-  leaf_list : Exec.leaf list;
   mutable queue : pair_session list;  (* round-robin of live sessions *)
-  mutable quarantined_rev : ((int * int) * string) list;
 }
 
 (* Per-ISA dispatch: the architecture descriptor is indexed by its
@@ -184,14 +180,9 @@ let prepare ?(seed = 0L) cfg isa_program =
       Tm.add (Printf.sprintf "portfolio.wins.%d" c) 0
     done
   end;
-  { cfg; seed; isa_program; bir_program; leaf_list; queue = sessions;
-    quarantined_rev = [] })
+  { cfg; seed; queue = sessions })
 
-let program t = t.isa_program
-let bir t = t.bir_program
-let leaves t = t.leaf_list
 let pair_count t = List.length t.queue
-let quarantined t = List.rev t.quarantined_rev
 
 type progress =
   | Case of test_case
@@ -259,7 +250,6 @@ let rec advance t =
   | ps :: rest when chaos_budget_exhausted t ps ->
     let reason = "chaos: injected SAT budget exhaustion" in
     t.queue <- rest;
-    t.quarantined_rev <- (ps.pair, reason) :: t.quarantined_rev;
     Quarantined { pair = ps.pair; reason }
   | ps :: rest -> (
     match
@@ -282,7 +272,7 @@ let rec advance t =
       | Some Solver.Budget_exceeded | None ->
         (* A hard path pair even for the whole portfolio: drop it from
            the round-robin queue so it cannot stall the rest of the
-           program's enumeration, and remember why. *)
+           program's enumeration, and report why. *)
         let reason =
           Printf.sprintf "SAT budget exceeded after %d model(s) (%s%s)"
             (Solver.models_found ps.session)
@@ -294,7 +284,6 @@ let rec advance t =
              else "")
         in
         t.queue <- rest;
-        t.quarantined_rev <- (ps.pair, reason) :: t.quarantined_rev;
         Quarantined { pair = ps.pair; reason })
     | Solver.Model model -> emit_case t ps rest model)
 

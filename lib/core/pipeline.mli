@@ -54,15 +54,8 @@ val prepare : ?seed:int64 -> config -> Scamv_arch.Isa.program -> t
     @raise Invalid_argument when the program's ISA differs from
     [config.isa]. *)
 
-val program : t -> Scamv_arch.Isa.program
-val bir : t -> Scamv_bir.Program.t
-val leaves : t -> Scamv_symbolic.Exec.leaf list
 val pair_count : t -> int
 (** Number of path pairs that can produce test cases. *)
-
-val quarantined : t -> ((int * int) * string) list
-(** Path pairs dropped from the round-robin queue because their SMT
-    session blew its budget, with the recorded reason, oldest first. *)
 
 type progress =
   | Case of test_case

@@ -4,12 +4,9 @@
    campaigns.
 
    Memory model: the session table holds the sessions that are queued or
-   running.  With a state directory, a session leaves the table once it
-   is terminal and its final meta is on disk; from then on
-   <id>.meta.json plus <id>.journal are its only copy, and [find]/[list]
-   read it back from there.  Server memory therefore does not grow with
-   the number of campaigns served.  Without a state directory the table
-   is the only store and keeps every session.
+   running, and with a state directory the finished table the summaries
+   of the rest (see the interface); without one the session table keeps
+   every session.
 
    Concurrency model: one mutex guards all scheduler state (tenant table,
    session table, queues, counters).  An idle runner takes the head of
@@ -33,6 +30,7 @@ module Metrics = Scamv_telemetry.Metrics
 module Campaign = Scamv.Campaign
 module Journal = Scamv.Journal
 module Diff = Scamv.Diff
+module Frame = Scamv_util.Frame
 
 type config = {
   jobs : int;
@@ -53,6 +51,18 @@ let default_config =
 
 type submit_error = Invalid of string | Busy of Tenant.rejection | Stopped
 
+(* A finished campaign as the listing needs it, and where its terminal
+   record starts in the log.  Its id is <tenant>-<sequence>, its place in
+   the finished table, so a summary holds no string. *)
+type finished = {
+  state : string;  (** {!Session.state_name} *)
+  records : int;  (** the stream's line count *)
+  submitted : int;
+  offset : int;
+}
+
+let unfinished = { state = ""; records = 0; submitted = -1; offset = -1 }
+
 type t = {
   cfg : config;
   lock : Mutex.t;
@@ -61,7 +71,11 @@ type t = {
   tenants : (string, Tenant.t) Hashtbl.t;
   sessions : (string, Session.t) Hashtbl.t;
       (** queued and running sessions; every session without a state dir *)
-  mutable finished_on_disk : int;  (** terminal sessions kept only on disk *)
+  finished : (string, finished array) Hashtbl.t;
+      (** with a state dir, each tenant's campaigns whose terminal record
+          is logged, indexed by sequence ([unfinished] elsewhere) *)
+  log : Buffer.t;  (** the frames of one append *)
+  mutable log_oc : out_channel option;  (** opened by the first append *)
   pools : Pool.t array;  (** runner [i] runs its campaigns on [pools.(i)] *)
   mutable rr : string list;  (** tenant round-robin order *)
   mutable submitted : int;  (** global submission counter *)
@@ -88,106 +102,122 @@ let concurrency t = Array.length t.pools
 
 (* ---- persistence ---- *)
 
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
+let ( let* ) = Option.bind
+let log_file = "campaigns.log"
+let log_magic = "scamv-campaigns v1"
 
-let persist_meta s =
-  match s.Session.meta_path with
-  | None -> ()
+let state_file t name = Option.map (fun dir -> Filename.concat dir name) t.cfg.state_dir
+let journal_file t id = state_file t (id ^ ".journal")
+
+(* Under the scheduler lock: append [s]'s current meta to the log, one
+   buffered write and flush, and return the record's offset ([None]
+   without a state dir).  The channel opens at the first append, so a
+   server that never takes a campaign creates no file. *)
+let append t s =
+  match state_file t log_file with
+  | None -> None
   | Some path ->
-    write_atomic path (Json.to_string ~pretty:true (Session.meta_json s))
+    let oc =
+      match t.log_oc with
+      | Some oc -> oc
+      | None ->
+        let oc =
+          open_out_gen [ Open_wronly; Open_creat; Open_append; Open_binary ] 0o644 path
+        in
+        seek_out oc (out_channel_length oc);
+        t.log_oc <- Some oc;
+        oc
+    in
+    Buffer.clear t.log;
+    if pos_out oc = 0 then Buffer.add_string t.log (log_magic ^ "\n");
+    let offset = pos_out oc + Buffer.length t.log in
+    Frame.add t.log (Json.to_string (Session.meta_json s));
+    Buffer.output_buffer oc t.log;
+    flush oc;
+    Some offset
 
-let session_paths cfg id =
-  match cfg.state_dir with
-  | None -> (None, None)
-  | Some dir ->
-    (Some (Filename.concat dir (id ^ ".journal")),
-     Some (Filename.concat dir (id ^ ".meta.json")))
-
-(* The sequence number of a well-formed session id, <tenant>-<digits>
-   with the tenant charset of [Tenant.validate_name].  Ids reach [find]
-   percent-decoded from the URL, so nothing else may become a state-dir
-   path. *)
+(* The tenant and sequence number of a well-formed session id,
+   <tenant>-<sequence> with the tenant charset of [Tenant.validate_name]
+   and the sequence in decimal as [submit] prints it; recovery adopts no
+   other id, so every id in the tables is a safe state-dir file name. *)
 let sequence_of_id id =
-  let is_digit = function '0' .. '9' -> true | _ -> false in
   match String.rindex_opt id '-' with
   | None -> None
-  | Some i ->
+  | Some i -> (
+    let tenant = String.sub id 0 i in
     let digits = String.sub id (i + 1) (String.length id - i - 1) in
-    if Result.is_ok (Tenant.validate_name (String.sub id 0 i))
-       && digits <> "" && String.for_all is_digit digits
-    then int_of_string_opt digits
-    else None
-
-let read_meta path =
-  let read () = In_channel.with_open_bin path In_channel.input_all in
-  match Session.meta_of_json (Json.of_string (read ())) with
-  | Ok m -> Some m
-  | Error _ | (exception Json.Parse_error _) | (exception Sys_error _) -> None
-
-let terminal_state (m : Session.meta) =
-  match m.Session.meta_state with
-  | "completed" -> Some Session.Completed
-  | "cancelled" -> Some Session.Cancelled
-  | "failed" ->
-    Some (Session.Failed (Option.value ~default:"unknown" m.Session.meta_reason))
-  | _ -> None
-
-(* A fresh session for a persisted meta. *)
-let session_of_meta t (m : Session.meta) =
-  let id = m.Session.meta_id and tenant = m.Session.meta_tenant in
-  let p = m.Session.meta_params in
-  let journal_path, meta_path = session_paths t.cfg id in
-  Session.create ~id ~tenant ~params:p ~seed:(Option.get p.Session.seed)
-    ~campaign_name:
-      (Workload.campaign_name ~setup:p.Session.setup ~template:p.Session.template)
-    ?journal_path ?meta_path ~submitted:m.Session.meta_submitted ()
-
-(* A finished session's meta and terminal state, if [id] names one. *)
-let finished_meta t id =
-  match (t.cfg.state_dir, sequence_of_id id) with
-  | None, _ | _, None -> None
-  | Some dir, Some _ -> (
-    match read_meta (Filename.concat dir (id ^ ".meta.json")) with
-    | Some m when m.Session.meta_id = id ->
-      Option.map (fun st -> (m, st)) (terminal_state m)
+    match int_of_string_opt digits with
+    | Some seq
+      when Result.is_ok (Tenant.validate_name tenant) && string_of_int seq = digits ->
+      Some (tenant, seq)
     | _ -> None)
 
-(* The one loader of finished sessions: the meta for identity, state and
-   stats, the journal and the meta's progress lines for the stream.  The
-   rebuilt session streams, lists and reports status byte for byte as the
-   live one did. *)
-let session_of_finished t (m, st) =
-  let s = session_of_meta t m in
+(* Under the scheduler lock: [f] summarizes [tenant]'s campaign [seq]. *)
+let keep_finished t tenant seq f =
+  let row = Option.value ~default:[||] (Hashtbl.find_opt t.finished tenant) in
+  let row =
+    if seq < Array.length row then row
+    else Array.append row (Array.make (seq + 1 + Array.length row) unfinished)
+  in
+  row.(seq) <- f;
+  Hashtbl.replace t.finished tenant row
+
+let finished_of t id =
+  let* tenant, seq = sequence_of_id id in
+  let* row = Hashtbl.find_opt t.finished tenant in
+  if seq < Array.length row && row.(seq) != unfinished then Some row.(seq) else None
+
+(* Under the scheduler lock, once [s] is terminal: log its terminal
+   record; with a state dir the session table lets go of it and the
+   finished table keeps its summary (streamers already holding [s]
+   finish from memory). *)
+let retire t s =
+  match append t s with
+  | None -> ()
+  | Some offset ->
+    let id = s.Session.id in
+    Hashtbl.remove t.sessions id;
+    let tenant, seq = Option.get (sequence_of_id id) in
+    keep_finished t tenant seq
+      { state = Session.state_name (Session.state s); records = s.Session.nlines;
+        submitted = s.Session.submitted; offset }
+
+let meta_of_payload payload =
+  match Session.meta_of_json (Json.of_string payload) with
+  | Ok m when Option.map fst (sequence_of_id m.Session.meta_id) = Some m.Session.meta_tenant ->
+    Some m
+  | Ok _ | Error _ | (exception Json.Parse_error _) -> None
+
+(* A fresh session for a logged meta. *)
+let session_of_meta (m : Session.meta) =
+  let p = m.Session.meta_params in
+  Session.create ~id:m.Session.meta_id ~tenant:m.Session.meta_tenant ~params:p
+    ~seed:(Option.get p.Session.seed) ~submitted:m.Session.meta_submitted ()
+
+(* The one loader of finished sessions: the terminal record at [offset]
+   for identity, state and stats, the journal and the record's progress
+   lines for the stream.  The rebuilt session streams, lists and reports
+   status byte for byte as the live one did. *)
+let session_of_finished t offset =
+  let* path = state_file t log_file in
+  let* payload =
+    try
+      In_channel.with_open_bin path (fun ic ->
+          In_channel.seek ic (Int64.of_int offset);
+          Frame.input ic)
+    with Sys_error _ -> None
+  in
+  let* m = meta_of_payload payload in
+  let s = session_of_meta m in
   let events =
-    match s.Session.journal_path with
+    match journal_file t s.Session.id with
     | Some p when Sys.file_exists p -> Journal.events (fst (Journal.load ~path:p))
     | _ -> []
   in
   Session.replay s ~events ~progress:m.Session.meta_progress;
-  Session.conclude s st ?stats:m.Session.meta_stats
+  Session.conclude s m.Session.meta_state ?stats:m.Session.meta_stats
     ~wall_seconds:m.Session.meta_wall_seconds ();
-  s
-
-let meta_ids dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter_map (fun f ->
-         if Filename.check_suffix f ".meta.json" then
-           Some (Filename.chop_suffix f ".meta.json")
-         else None)
-
-(* Under the scheduler lock, once [s] is terminal and its final meta is
-   written: with a state dir the table lets go of it (streamers already
-   holding [s] finish from memory). *)
-let evict t s =
-  if t.cfg.state_dir <> None then begin
-    Hashtbl.remove t.sessions s.Session.id;
-    t.finished_on_disk <- t.finished_on_disk + 1
-  end
+  Some s
 
 (* ---- tenant bookkeeping (all under the scheduler lock) ---- *)
 
@@ -249,8 +279,8 @@ let finish_counter = function
 
 let run_session t s ~pool =
   Session.set_state s Session.Running;
-  (* No meta write here: a restart re-enqueues a queued meta exactly as
-     a running one, and every write is a create plus a rename. *)
+  (* No log record here: a restart re-enqueues a queued campaign exactly
+     as a running one. *)
   (let on_event m = Session.push_progress s m in
    let on_record ev = Session.push_line s (Session.record_line ev) in
    let publish (stats, wall_seconds, telemetry) =
@@ -265,7 +295,7 @@ let run_session t s ~pool =
              telemetry.Scamv_telemetry.Collector.metrics)
    in
    let with_journal run =
-     let journal = Journal.create ?path:s.Session.journal_path () in
+     let journal = Journal.create ?path:(journal_file t s.Session.id) () in
      let result =
        try Ok (run journal) with
        | Pool.Shut_down -> Error "service shutting down"
@@ -313,9 +343,8 @@ let run_session t s ~pool =
              outcome.Diff.riscv.Campaign.telemetry
          in
          (outcome.Diff.stats, wall, telemetry)));
-  persist_meta s;
   locked t (fun () ->
-      evict t s;
+      retire t s;
       t.server_metrics <-
         Metrics.incr (finish_counter (Session.state s)) t.server_metrics)
 
@@ -345,38 +374,53 @@ let rec runner_loop t i =
 
 (* ---- restart recovery ---- *)
 
-(* Scan the state directory's <id>.meta.json files in submission order:
-   restore each tenant's sequence high-water mark and the global
-   submission counter from every meta, and re-enqueue the unfinished
-   sessions (in original submission order) with their journal as a resume
-   checkpoint, so completed programs replay instead of re-running.
-   Finished sessions stay on disk; [find] loads them on demand. *)
+(* Read campaigns.log once, in order: restore each tenant's sequence
+   high-water mark and the global submission counter from every record,
+   keep a summary per terminal record, and re-enqueue the campaigns
+   without one, in submission order (the order their queued records were
+   logged), with their journal as a resume checkpoint, so completed
+   programs replay instead of re-running.  A torn or damaged tail is cut
+   off, as a journal's is, so the next append follows the clean prefix;
+   a log whose magic line is damaged keeps nothing. *)
 let recover t dir =
-  let metas =
-    meta_ids dir
-    |> List.filter_map (fun id -> read_meta (Filename.concat dir (id ^ ".meta.json")))
-    |> List.sort (fun a b ->
-           compare a.Session.meta_submitted b.Session.meta_submitted)
+  let path = Filename.concat dir log_file in
+  let content =
+    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+    else ""
   in
-  List.iter
-    (fun (m : Session.meta) ->
-      let ten = tenant_of t m.Session.meta_tenant in
-      (* Future namespace seeds must never repeat. *)
-      (match sequence_of_id m.Session.meta_id with
-      | Some seq when seq >= ten.Tenant.sequence -> ten.Tenant.sequence <- seq + 1
-      | _ -> ());
-      t.submitted <- max t.submitted (m.Session.meta_submitted + 1);
-      match terminal_state m with
-      | Some _ -> t.finished_on_disk <- t.finished_on_disk + 1
-      | None ->
-        let s = session_of_meta t m in
-        Hashtbl.replace t.sessions s.Session.id s;
-        ten.Tenant.active <- ten.Tenant.active + 1;
-        (match s.Session.journal_path with
-        | Some p when Sys.file_exists p -> s.Session.resume_from <- Some p
-        | _ -> ());
-        Queue.push s.Session.id ten.Tenant.pending)
-    metas
+  let restore queued ~offset payload =
+    let* m = meta_of_payload payload in
+    let tenant, seq = Option.get (sequence_of_id m.Session.meta_id) in
+    let ten = tenant_of t tenant in
+    (* Future namespace seeds must never repeat. *)
+    ten.Tenant.sequence <- max ten.Tenant.sequence (seq + 1);
+    t.submitted <- max t.submitted (m.Session.meta_submitted + 1);
+    if not (Session.is_terminal m.Session.meta_state) then Some (m :: queued)
+    else begin
+      keep_finished t tenant seq
+        { state = Session.state_name m.Session.meta_state;
+          records = Option.value ~default:0 m.Session.meta_records;
+          submitted = m.Session.meta_submitted; offset };
+      Some queued
+    end
+  in
+  let queued, clean_end =
+    match Frame.records_start ~magic:log_magic content with
+    | None -> ([], 0)
+    | Some pos -> Frame.fold content ~pos ~init:[] restore
+  in
+  if clean_end < String.length content then Unix.truncate path clean_end;
+  List.rev queued
+  |> List.filter (fun (m : Session.meta) -> finished_of t m.Session.meta_id = None)
+  |> List.iter (fun m ->
+         let s = session_of_meta m in
+         let ten = Hashtbl.find t.tenants s.Session.tenant in
+         Hashtbl.replace t.sessions s.Session.id s;
+         ten.Tenant.active <- ten.Tenant.active + 1;
+         (match journal_file t s.Session.id with
+         | Some p when Sys.file_exists p -> s.Session.resume_from <- Some p
+         | _ -> ());
+         Queue.push s.Session.id ten.Tenant.pending)
 
 (* ---- public interface ---- *)
 
@@ -392,7 +436,9 @@ let create ?(config = default_config) ?(start = true) () =
       idle = Condition.create ();
       tenants = Hashtbl.create 8;
       sessions = Hashtbl.create 32;
-      finished_on_disk = 0;
+      finished = Hashtbl.create 32;
+      log = Buffer.create 512;
+      log_oc = None;
       pools =
         Array.map
           (fun size -> Pool.create ~size)
@@ -434,12 +480,12 @@ let submit t ~tenant params =
   let validated =
     let* tenant = Tenant.validate_name tenant in
     (* The seed is resolved at admission; any seed validates alike. *)
-    let* _, cfg = build_config ~seed:0L params in
-    Ok (tenant, cfg.Campaign.name)
+    let* _ = build_config ~seed:0L params in
+    Ok tenant
   in
   match validated with
   | Error e -> Error (Invalid e)
-  | Ok (tenant, campaign_name) ->
+  | Ok tenant ->
     locked t (fun () ->
         if t.stopping then Error Stopped
         else
@@ -455,43 +501,42 @@ let submit t ~tenant params =
             let id = Printf.sprintf "%s-%d" tenant seq in
             let submitted = t.submitted in
             t.submitted <- submitted + 1;
-            let journal_path, meta_path = session_paths t.cfg id in
-            let s =
-              Session.create ~id ~tenant ~params ~seed ~campaign_name
-                ?journal_path ?meta_path ~submitted ()
-            in
+            let s = Session.create ~id ~tenant ~params ~seed ~submitted () in
             Hashtbl.replace t.sessions id s;
             Queue.push id ten.Tenant.pending;
-            persist_meta s;
+            ignore (append t s);
             t.server_metrics <- Metrics.incr "service.campaigns.submitted" t.server_metrics;
             Condition.broadcast t.work;
             Ok s)
 
 let find t id =
-  match locked t (fun () -> Hashtbl.find_opt t.sessions id) with
-  | Some s -> Some s
-  | None -> Option.map (session_of_finished t) (finished_meta t id)
+  match locked t (fun () -> (Hashtbl.find_opt t.sessions id, finished_of t id)) with
+  | Some s, _ -> Some s
+  | None, Some f -> session_of_finished t f.offset
+  | None, None -> None
 
-(* A finished campaign lists from its terminal meta alone; only a meta
-   written before [records] was persisted needs its journal replayed. *)
+(* The listing reads no file: live sessions render themselves, finished
+   ones from their summaries. *)
 let list t =
-  let live = locked t (fun () -> Hashtbl.copy t.sessions) in
-  let summary s = (s.Session.submitted, Session.summary_json s) in
-  let finished =
-    match t.cfg.state_dir with
-    | None -> []
-    | Some dir ->
-      meta_ids dir
-      |> List.filter (fun id -> not (Hashtbl.mem live id))
-      |> List.filter_map (fun id ->
-             Option.map
-               (fun ((m, _) as f) ->
-                 match Session.meta_summary_json m with
-                 | Some json -> (m.Session.meta_submitted, json)
-                 | None -> summary (session_of_finished t f))
-               (finished_meta t id))
+  let live, finished =
+    locked t (fun () ->
+        ( Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [],
+          Hashtbl.fold (fun tenant row acc -> (tenant, Array.copy row) :: acc) t.finished [] ))
   in
-  Hashtbl.fold (fun _ s acc -> summary s :: acc) live finished
+  let summaries (tenant, row) =
+    Array.to_seqi row
+    |> Seq.filter_map (fun (seq, (f : finished)) ->
+           if f == unfinished then None
+           else
+             Some
+               ( f.submitted,
+                 Session.summary ~id:(Printf.sprintf "%s-%d" tenant seq) ~tenant
+                   ~state:f.state ~records:f.records ))
+    |> List.of_seq
+  in
+  List.rev_append
+    (List.map (fun s -> (s.Session.submitted, Session.summary_json s)) live)
+    (List.concat_map summaries finished)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
@@ -517,8 +562,7 @@ let cancel t s =
         Queue.transfer keep ten.Tenant.pending;
         Tenant.finish ten;
         Session.conclude s Session.Cancelled ();
-        persist_meta s;
-        evict t s;
+        retire t s;
         t.server_metrics <- Metrics.incr "service.campaigns.cancelled" t.server_metrics;
         true)
 
@@ -535,40 +579,20 @@ let metrics_snapshot t =
      discipline keeps the scheduler lock innermost-free of them. *)
   let live = List.concat_map (fun f -> f ()) sources in
   locked t (fun () ->
-      let m = Metrics.merge t.campaign_metrics t.server_metrics in
-      let m =
-        Metrics.set_gauge "service.sessions.queued"
-          (float_of_int (queued_count t)) m
-      in
-      let running = running_count t in
-      let m =
-        Metrics.set_gauge "service.sessions.running" (float_of_int running) m
-      in
-      let m =
-        Metrics.set_gauge "scheduler.concurrent_sessions" (float_of_int running)
-          m
-      in
-      let m =
-        Metrics.set_gauge "scheduler.slices"
-          (float_of_int (Array.length t.pools))
-          m
-      in
-      let m =
-        Metrics.set_gauge "scheduler.slice_width"
-          (float_of_int (Pool.size t.pools.(0)))
-          m
-      in
-      let m =
-        Metrics.set_gauge "service.sessions.total"
-          (float_of_int (Hashtbl.length t.sessions + t.finished_on_disk))
-          m
-      in
-      let m =
-        Metrics.set_gauge "service.tenants"
-          (float_of_int (Hashtbl.length t.tenants))
-          m
-      in
-      List.fold_left (fun m (name, v) -> Metrics.set_gauge name v m) m live)
+      let running = float_of_int (running_count t) in
+      List.fold_left
+        (fun m (name, v) -> Metrics.set_gauge name v m)
+        (Metrics.merge t.campaign_metrics t.server_metrics)
+        ([
+           ("service.sessions.queued", float_of_int (queued_count t));
+           ("service.sessions.running", running);
+           ("scheduler.concurrent_sessions", running);
+           ("scheduler.slices", float_of_int (Array.length t.pools));
+           ("scheduler.slice_width", float_of_int (Pool.size t.pools.(0)));
+           ("service.sessions.total", float_of_int t.submitted);
+           ("service.tenants", float_of_int (Hashtbl.length t.tenants));
+         ]
+        @ live))
 
 let shutdown t =
   let proceed =
@@ -583,8 +607,7 @@ let shutdown t =
                 (fun id ->
                   let s = Hashtbl.find t.sessions id in
                   Session.conclude s Session.Cancelled ();
-                  persist_meta s;
-                  evict t s;
+                  retire t s;
                   Tenant.finish ten)
                 ten.Tenant.pending;
               Queue.clear ten.Tenant.pending)
@@ -602,5 +625,8 @@ let shutdown t =
   if proceed then begin
     List.iter Thread.join t.runners;
     t.runners <- [];
-    Array.iter Pool.shutdown t.pools
+    Array.iter Pool.shutdown t.pools;
+    locked t (fun () ->
+        Option.iter close_out t.log_oc;
+        t.log_oc <- None)
   end

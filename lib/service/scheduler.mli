@@ -3,6 +3,19 @@
     journal-backed persistence so a restarted server resumes in-flight
     campaigns.
 
+    Persistence: a state dir holds [campaigns.log] and one
+    [<id>.journal] per campaign, nothing else.  The log is a magic line,
+    then one {!Scamv_util.Frame} record per life-cycle write whose
+    payload is the session's {!Session.meta_json}: the queued record at
+    {!submit}, the terminal record when the campaign ends, is cancelled
+    or is dropped by {!shutdown}.  Each append is one buffered write and
+    flush under the scheduler lock, so a campaign's two records stay in
+    order; the log opens at the first append.  A finished campaign leaves
+    memory except for a summary of a few words (state, record count,
+    submission index and log offset, filed under its tenant and
+    sequence number), from which {!list} renders without reading any
+    file; {!find} reads its one terminal record at that offset.
+
     Runners are work-conserving: an idle runner takes the head of the
     next non-empty tenant queue, in round-robin order over tenants.
     Each runner owns a persistent {!Scamv_util.Pool} whose width is its
@@ -27,9 +40,10 @@ type config = {
   concurrency : int;
       (** runners = campaigns that may execute at once (>= 1) *)
   state_dir : string option;
-      (** where [<id>.journal] / [<id>.meta.json] live, and the only copy
-          of a finished campaign; [None] = no persistence (campaigns are
-          lost on restart, and every session stays in memory) *)
+      (** where [campaigns.log] and the [<id>.journal] files live, the
+          only copy of a finished campaign's stream; [None] = no
+          persistence (campaigns are lost on restart, and every session
+          stays in memory) *)
   quota : Tenant.quota;  (** applied to every tenant *)
   clock : Scamv_util.Stopwatch.clock;
       (** campaign time source; {!Scamv_util.Stopwatch.frozen} makes all
@@ -46,14 +60,19 @@ type t
 
 val create : ?config:config -> ?start:bool -> unit -> t
 (** Build a scheduler (default: 1 job, concurrency 1, no state dir,
-    {!Tenant.default_quota}, wall clock); when [config.state_dir] is set, recover previously
-    persisted sessions first: every meta restores its tenant's sequence
-    mark, and unfinished sessions are re-enqueued in original submission
-    order with the journal as a resume checkpoint.  Finished sessions
-    stay on disk until {!find} or {!list} reads them.  [start = false]
+    {!Tenant.default_quota}, wall clock); when [config.state_dir] is set,
+    recover previously logged campaigns first, reading [campaigns.log]
+    once (a terminal record settles its campaign, a damaged tail is cut
+    off): every
+    campaign restores its tenant's sequence mark, finished ones keep a
+    summary, and unfinished ones are re-enqueued in original submission
+    order with the journal as a resume checkpoint.  [start = false]
     skips the runner threads — admission-control unit tests use this to
     exercise queues without running campaigns.
     @raise Invalid_argument when [config.concurrency < 1]. *)
+
+val log_file : string
+(** ["campaigns.log"], the campaign log's name inside the state dir. *)
 
 val concurrency : t -> int
 (** The runner count the scheduler was built with. *)
@@ -62,18 +81,18 @@ val submit :
   t -> tenant:string -> Session.params -> (Session.t, submit_error) result
 (** Validate (build the campaign through {!Workload.config}), apply the
     tenant quota, resolve the seed (submitted seed or
-    the tenant namespace draw), persist the session meta and enqueue. *)
+    the tenant namespace draw), log the queued record and enqueue. *)
 
 val find : t -> string -> Session.t option
 (** A queued or running session from memory; otherwise, with a state
-    dir, a finished one rebuilt from [<id>.meta.json] and the journal —
-    stream, status and summary byte-identical to the live session's.
-    Only ids of the form [<tenant>-<digits>] ever reach the disk. *)
+    dir, a finished one rebuilt from its terminal log record and its
+    journal — stream, status and summary byte-identical to the live
+    session's.  Only an id in the finished table reaches the disk. *)
 
 val list : t -> Scamv_util.Json.t list
 (** The {!Session.summary_json} of every known session, in submission
-    order: the live ones and, with a state dir, every finished one, read
-    from its terminal meta. *)
+    order: the live ones and, with a state dir, every finished one,
+    rendered from its in-memory summary.  Reads no file. *)
 
 val cancel : t -> Session.t -> bool
 (** Queued sessions cancel immediately; a running one gets its cancel
@@ -103,5 +122,5 @@ val metrics_snapshot : t -> Scamv_telemetry.Metrics.t
 
 val shutdown : t -> unit
 (** Stop accepting work, cancel queued sessions, cooperatively cancel the
-    running campaigns, join the runner threads and shut every runner's
-    pool down.  Idempotent. *)
+    running campaigns, join the runner threads, shut every runner's pool
+    down and close the campaign log.  Idempotent. *)

@@ -111,8 +111,8 @@ let params_to_json p =
       ("template", Json.Str p.template);
       ("setup", Json.Str p.setup);
     ]
-    (* appended only when non-default, so pre-existing meta files and
-       status payloads keep their historical bytes *)
+    (* appended only when non-default, so AArch64 log records and status
+       payloads keep their historical bytes *)
     @ (if p.isa = "aarch64" then [] else [ ("isa", Json.Str p.isa) ])
     @ [
       ("programs", Json.Num (float_of_int p.programs));
@@ -166,8 +166,6 @@ type t = {
   params : params;
   seed : int64;  (** resolved: the submitted seed or the namespace draw *)
   campaign_name : string;
-  journal_path : string option;
-  meta_path : string option;
   submitted : int;  (** global submission index; orders [GET /campaigns] *)
   cancel : Deadline.t;
   lock : Mutex.t;
@@ -183,16 +181,14 @@ type t = {
   mutable wall_seconds : float;
 }
 
-let create ~id ~tenant ~params ~seed ~campaign_name ?journal_path ?meta_path
-    ~submitted () =
+let create ~id ~tenant ~params ~seed ~submitted () =
   {
     id;
     tenant;
     params;
     seed;
-    campaign_name;
-    journal_path;
-    meta_path;
+    campaign_name =
+      Workload.campaign_name ~setup:params.setup ~template:params.template;
     submitted;
     (* The token only ever expires by explicit [Deadline.cancel]. *)
     cancel = Deadline.create (Deadline.Wall_seconds infinity);
@@ -262,6 +258,15 @@ let wait_lines t ~from =
 
 (* ---- wire renderings ---- *)
 
+(* The failure reason and final statistics, once there are any: the tail
+   of the status, done line and meta alike.  Call under the lock. *)
+let outcome_fields t =
+  (match t.state with Failed reason -> [ ("reason", Json.Str reason) ] | _ -> [])
+  @
+  match t.stats with
+  | None -> []
+  | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ]
+
 let status_json t =
   locked t (fun () ->
       Json.Obj
@@ -273,12 +278,7 @@ let status_json t =
            ("params", params_to_json { t.params with seed = Some t.seed });
            ("records", Json.Num (float_of_int t.nlines));
          ]
-        @ (match t.state with
-          | Failed reason -> [ ("reason", Json.Str reason) ]
-          | _ -> [])
-        @ (match t.stats with
-          | None -> []
-          | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ])))
+        @ outcome_fields t))
 
 let summary ~id ~tenant ~state ~records =
   Json.Obj
@@ -301,14 +301,7 @@ let record_line event =
 let done_line_unlocked t =
   Json.to_string
     (Json.Obj
-       ([ ("done", Json.Str (state_name t.state)) ]
-       @ (match t.state with
-         | Failed reason -> [ ("reason", Json.Str reason) ]
-         | _ -> [])
-       @
-       match t.stats with
-       | None -> []
-       | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ]))
+       (("done", Json.Str (state_name t.state)) :: outcome_fields t))
 
 (* Rebuild a finished session's stream from what the state dir keeps:
    the journal's events, with each persisted progress message put back at
@@ -339,7 +332,7 @@ let conclude t state ?stats ?(wall_seconds = 0.0) () =
       push_line_unlocked t (done_line_unlocked t);
       Condition.broadcast t.changed)
 
-(* ---- persistence (meta file) ---- *)
+(* ---- persistence (campaign log records) ---- *)
 
 let meta_json t =
   locked t (fun () ->
@@ -352,12 +345,7 @@ let meta_json t =
            ("campaign", Json.Str t.campaign_name);
            ("params", params_to_json { t.params with seed = Some t.seed });
          ]
-        @ (match t.state with
-          | Failed reason -> [ ("reason", Json.Str reason) ]
-          | _ -> [])
-        @ (match t.stats with
-          | None -> []
-          | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ])
+        @ outcome_fields t
         (* the terminal meta alone answers the listing; queued metas keep
            their historical bytes *)
         @ (if is_terminal t.state then [ ("records", Json.Num (float_of_int t.nlines)) ]
@@ -381,8 +369,7 @@ type meta = {
   meta_id : string;
   meta_tenant : string;
   meta_submitted : int;
-  meta_state : string;
-  meta_reason : string option;
+  meta_state : state;
   meta_params : params;  (** seed always resolved ([Some _]) *)
   meta_stats : Json.t option;
   meta_wall_seconds : float;
@@ -399,7 +386,16 @@ let meta_of_json json =
   in
   let* meta_id = str "id" in
   let* meta_tenant = str "tenant" in
-  let* meta_state = str "state" in
+  let* meta_state =
+    match (str "state", Json.member "reason" json) with
+    | Ok ("queued" | "running"), _ -> Ok Queued
+    | Ok "completed", _ -> Ok Completed
+    | Ok "cancelled", _ -> Ok Cancelled
+    | Ok "failed", Some (Json.Str reason) -> Ok (Failed reason)
+    | Ok "failed", _ -> Ok (Failed "unknown")
+    | Ok other, _ -> Error ("meta state unknown: " ^ other)
+    | (Error _ as e), _ -> e
+  in
   let* meta_submitted =
     match Json.member "submitted" json with
     | Some v -> int_field "submitted" v
@@ -413,9 +409,6 @@ let meta_of_json json =
   let* () =
     if meta_params.seed = None then Error "meta params missing resolved seed"
     else Ok ()
-  in
-  let meta_reason =
-    match Json.member "reason" json with Some (Json.Str s) -> Some s | _ -> None
   in
   let meta_stats = Json.member "stats" json in
   let meta_wall_seconds =
@@ -449,16 +442,9 @@ let meta_of_json json =
       meta_tenant;
       meta_submitted;
       meta_state;
-      meta_reason;
       meta_params;
       meta_stats;
       meta_wall_seconds;
       meta_progress;
       meta_records;
     }
-
-let meta_summary_json m =
-  Option.map
-    (fun records ->
-      summary ~id:m.meta_id ~tenant:m.meta_tenant ~state:m.meta_state ~records)
-    m.meta_records

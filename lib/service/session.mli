@@ -18,8 +18,8 @@ type params = {
       (** ["aarch64"] (default) or ["riscv"] run a single-ISA campaign;
           ["diff"] runs the differential workload ({!Scamv.Diff}): both
           ISAs under the same seed, with [Diverged] records appended
-          after the two campaigns.  Absent in pre-existing meta files,
-          which load as ["aarch64"].  Parsing only checks the type;
+          after the two campaigns.  Absent from the log records of
+          AArch64 campaigns, which load as ["aarch64"].  Parsing only checks the type;
           submission checks the name ({!Workload.isa_of_string}). *)
   programs : int;
   tests_per_program : int;
@@ -60,9 +60,7 @@ type t = {
   tenant : string;
   params : params;
   seed : int64;  (** resolved: the submitted seed or the namespace draw *)
-  campaign_name : string;
-  journal_path : string option;
-  meta_path : string option;
+  campaign_name : string;  (** {!Workload.campaign_name} of the params *)
   submitted : int;  (** global submission index; orders [GET /campaigns] *)
   cancel : Scamv_util.Deadline.t;
       (** expires only by explicit {!Scamv_util.Deadline.cancel} — the
@@ -86,9 +84,6 @@ val create :
   tenant:string ->
   params:params ->
   seed:int64 ->
-  campaign_name:string ->
-  ?journal_path:string ->
-  ?meta_path:string ->
   submitted:int ->
   unit ->
   t
@@ -134,6 +129,12 @@ val status_json : t -> Scamv_util.Json.t
 val summary_json : t -> Scamv_util.Json.t
 (** One element of the [GET /campaigns] listing. *)
 
+val summary :
+  id:string -> tenant:string -> state:string -> records:int -> Scamv_util.Json.t
+(** The {!summary_json} of a session with this id, tenant, state name and
+    stream line count: how the listing renders a finished campaign the
+    scheduler no longer holds. *)
+
 val record_line : Scamv.Journal.event -> string
 (** [{"record":<event>}] — a pure function of the journal event as the
     journal stores it ({!Scamv.Journal.as_stored}: timings rounded to the
@@ -144,29 +145,23 @@ val record_line : Scamv.Journal.event -> string
 (** {2 Meta persistence} *)
 
 val meta_json : t -> Scamv_util.Json.t
-(** The sidecar [<id>.meta.json] record: identity, resolved params,
-    current/terminal state, stats, and — only when there are any — the
-    progress lines with their stream positions; a terminal meta also
-    keeps the stream's line count ([records]).  A finished session's
-    meta plus its journal is all the server keeps of it. *)
+(** The payload of a campaign-log record ({!Scheduler}): identity,
+    resolved params, current/terminal state, stats, and — only when
+    there are any — the progress lines with their stream positions; a
+    terminal meta also keeps the stream's line count ([records]).  A
+    finished session's terminal meta plus its journal is all the server
+    keeps of it on disk. *)
 
 type meta = {
   meta_id : string;
   meta_tenant : string;
   meta_submitted : int;
-  meta_state : string;
-  meta_reason : string option;
+  meta_state : state;  (** [Queued] for a campaign that had not ended *)
   meta_params : params;  (** seed always resolved ([Some _]) *)
   meta_stats : Scamv_util.Json.t option;
   meta_wall_seconds : float;
   meta_progress : (int * string) list;  (** oldest first *)
-  meta_records : int option;
-      (** the stream's line count; terminal metas only, and absent from
-          metas written before it was persisted *)
+  meta_records : int option;  (** the stream's line count; terminal metas only *)
 }
 
 val meta_of_json : Scamv_util.Json.t -> (meta, string) result
-
-val meta_summary_json : meta -> Scamv_util.Json.t option
-(** The {!summary_json} of the session the meta describes, rendered from
-    the meta alone; [None] when it has no [records]. *)

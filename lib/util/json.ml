@@ -113,7 +113,14 @@ let to_string ?pretty t =
 
 let write ?pretty oc t = emit ?pretty (channel_sink oc) t
 
-(* ---- parsing (recursive descent) ---- *)
+(* ---- parsing (recursive descent) ----
+
+   One stack frame per nesting level, so the depth is capped: a request
+   body of nothing but [[] is rejected at the cap instead of recursing
+   through the whole body.  Nothing this program writes nests more than a
+   few levels. *)
+
+let max_depth = 1024
 
 let of_string s =
   let n = String.length s in
@@ -217,7 +224,7 @@ let of_string s =
     | Some x -> Num x
     | None -> parse_error "bad number %S at offset %d" text start
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> parse_error "unexpected end of input"
@@ -225,6 +232,8 @@ let of_string s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> Str (parse_string ())
+    | Some ('[' | '{') when depth = max_depth ->
+      parse_error "nesting deeper than %d levels at offset %d" max_depth !pos
     | Some '[' ->
       advance ();
       skip_ws ();
@@ -234,7 +243,7 @@ let of_string s =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -260,7 +269,7 @@ let of_string s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let rec fields acc =
@@ -279,7 +288,7 @@ let of_string s =
       end
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then parse_error "trailing garbage at offset %d" !pos;
   v

@@ -36,7 +36,8 @@ val write : ?pretty:bool -> out_channel -> t -> unit
 
 val of_string : string -> t
 (** Parse a complete JSON document.
-    @raise Parse_error on malformed input or trailing garbage. *)
+    @raise Parse_error on malformed input, trailing garbage, or arrays
+    and objects nested more than 1024 levels deep. *)
 
 val member : string -> t -> t option
 (** Field of an object ([None] on missing field or non-object). *)

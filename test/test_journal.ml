@@ -38,14 +38,29 @@ let events_equal j1 j2 =
     (fun a b -> Alcotest.(check bool) "event round-trips" true (a = b))
     (Journal.events j1) (Journal.events j2)
 
-(* ---- CSV round-trip ---- *)
+(* ---- CSV round-trip ----
+
+   The rows round-trip through the framed file [load] reads, the only
+   form the journal is read back from. *)
+
+let temp_path name =
+  let path = Filename.temp_file "scamv_journal" name in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  path
+
+let reloaded j =
+  let path = temp_path ".journal" in
+  let persisted = Journal.create ~path () in
+  List.iter (Journal.record_event persisted) (Journal.events j);
+  Journal.close persisted;
+  fst (Journal.load ~path)
 
 let test_roundtrip_plain () =
   let j = Journal.create () in
   Journal.record j (entry 0 Executor.Distinguishable);
   Journal.record j (entry ~retries:2 ~faults:3 1 Executor.Indistinguishable);
   Journal.record j (entry 2 Executor.Inconclusive);
-  events_equal j (Journal.of_csv (Journal.to_csv j))
+  events_equal j (reloaded j)
 
 let test_roundtrip_quoting () =
   (* Campaign/template names with commas, quotes and even newlines must
@@ -55,7 +70,7 @@ let test_roundtrip_quoting () =
     (entry ~campaign:"mct, refined \"v2\"" ~template:"A,B\"C\"" 0
        Executor.Distinguishable);
   Journal.record j (entry ~campaign:"multi\nline" 1 Executor.Inconclusive);
-  let j' = Journal.of_csv (Journal.to_csv j) in
+  let j' = reloaded j in
   events_equal j j';
   match experiments j' with
   | [ e0; e1 ] ->
@@ -78,20 +93,37 @@ let test_roundtrip_fault_events () =
   Journal.record_event j
     (Journal.Program_failed
        { campaign = "c"; program_index = 1; reason = "Failure(\"synth, diverged\")" });
-  let j' = Journal.of_csv (Journal.to_csv j) in
+  let j' = reloaded j in
   events_equal j j';
   Alcotest.(check Alcotest.int) "experiments only" 1 (Journal.length j')
 
-let test_of_csv_rejects_garbage () =
-  Alcotest.check_raises "missing header" (Journal.Parse_error "missing journal CSV header")
-    (fun () -> ignore (Journal.of_csv "not,a,journal\n1,2,3\n"))
+(* Only the framed format loads: a plain-CSV file, as builds before it
+   wrote, is a [Parse_error]; an empty file or a torn magic line is an
+   empty journal. *)
+let test_load_rejects_plain_csv () =
+  let path = temp_path ".csv" in
+  let load content =
+    Out_channel.with_open_bin path (fun oc -> output_string oc content);
+    Journal.load ~path
+  in
+  let plain = Journal.create () in
+  Journal.record plain (entry 0 Executor.Distinguishable);
+  List.iter
+    (fun content ->
+      Alcotest.check_raises "not framed"
+        (Journal.Parse_error "not a journal: the first line is not scamv-journal v2")
+        (fun () -> ignore (load content)))
+    [ "not,a,journal\n1,2,3\n"; Journal.to_csv plain; "scamv-journal v1\n" ];
+  List.iter
+    (fun content ->
+      let j, recovery = load content in
+      Alcotest.(check int) ("no events from " ^ String.escaped content) 0
+        (List.length (Journal.events j));
+      Alcotest.(check int) "torn bytes reported" (String.length content)
+        recovery.Journal.dropped_bytes)
+    [ ""; "scamv-jour"; "scamv-journal v2" ]
 
 (* ---- incremental persistence ---- *)
-
-let temp_path name =
-  let path = Filename.temp_file "scamv_journal" name in
-  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-  path
 
 let test_incremental_persistence () =
   let path = temp_path ".csv" in
@@ -214,8 +246,8 @@ let rec is_prefix xs ys =
 
 (* One byte flipped to any other value, or the file cut anywhere: [load]
    returns a prefix of the recorded events and raises nothing.  Only
-   damage inside the magic line may turn the file into a malformed v1
-   CSV, which is a [Parse_error]. *)
+   damage inside the magic line makes the file not a journal, which is a
+   [Parse_error]. *)
 let prop_damaged_journal_loads_prefix =
   let magic_len = String.length "scamv-journal v2\n" in
   let path = lazy (temp_path ".journal") in
@@ -454,12 +486,10 @@ let test_campaign_resume_matches_uninterrupted () =
       events
   in
   Alcotest.(check bool) "kill point is mid-campaign" true !seen_two;
-  let ckpt = Journal.create () in
+  let path = temp_path ".ckpt" in
+  let ckpt = Journal.create ~path () in
   List.iter (Journal.record_event ckpt) partial;
-  (* A v1 plain-CSV checkpoint, as earlier builds wrote them: [load]
-     still reads that format. *)
-  let path = temp_path ".ckpt.csv" in
-  write_file path (Journal.to_csv ckpt);
+  Journal.close ckpt;
   let resumed_journal = Journal.create () in
   let resumed = Campaign.run ~journal:resumed_journal ~resume:path cfg in
   Alcotest.(check bool) "final stats identical" true
@@ -517,7 +547,7 @@ let () =
           Alcotest.test_case "round-trip plain" `Quick test_roundtrip_plain;
           Alcotest.test_case "round-trip quoting" `Quick test_roundtrip_quoting;
           Alcotest.test_case "round-trip fault events" `Quick test_roundtrip_fault_events;
-          Alcotest.test_case "rejects garbage" `Quick test_of_csv_rejects_garbage;
+          Alcotest.test_case "rejects garbage" `Quick test_load_rejects_plain_csv;
           Alcotest.test_case "incremental persistence" `Quick test_incremental_persistence;
         ] );
       ( "journal-v2",

@@ -101,6 +101,51 @@ let test_http_keep_alive_intent () =
   Alcotest.(check bool) "1.0 keep-alive opt-in" true
     (intent "GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
 
+(* The reader returns a request, [None] at a clean end, or raises
+   [Bad_request] — never anything else — on arbitrary bytes and on valid
+   requests cut, spliced and mutated byte by byte.  Each input is read
+   to its end, so pipelined leftovers are parsed too. *)
+let prop_http_reader_total =
+  let valid =
+    [|
+      "GET /campaigns/a%2Db/stream?from=3&x=a+b HTTP/1.1\r\nHost: h\r\n\r\n";
+      "POST /campaigns HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world";
+      "DELETE /campaigns/t-0 HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
+      "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nConnection: close\r\n\r\n";
+    |]
+  in
+  let raw = QCheck.Gen.(string_size ~gen:(char_range '\000' '\255') (0 -- 64)) in
+  let mutated =
+    QCheck.Gen.(
+      let* base = oneofa valid and* other = oneofa valid in
+      let* op = int_bound 4 and* at = int_bound 1_000 in
+      (* half the replacement bytes are the syntax the reader splits on *)
+      let* c = oneof [ char; oneofl [ '%'; '\r'; '\n'; ':'; ' '; '?'; '&'; '='; '+'; '9' ] ] in
+      let n = String.length base in
+      let i = at mod n in
+      let o = at mod String.length other in
+      return
+        (match op with
+        | 0 -> String.sub base 0 i
+        | 1 -> String.mapi (fun k x -> if k = i then c else x) base
+        | 2 -> String.sub base 0 i ^ String.make 1 c ^ String.sub base i (n - i)
+        | 3 -> String.sub base 0 i ^ String.sub base (i + 1) (n - i - 1)
+        | _ -> String.sub base 0 i ^ String.sub other o (String.length other - o)))
+  in
+  QCheck.Test.make ~name:"reader returns or raises Bad_request only" ~count:20_000
+    (QCheck.make ~print:String.escaped QCheck.Gen.(oneof [ raw; mutated ]))
+    (fun input ->
+      let r = Http.reader_of_string input in
+      let rec drain k =
+        k = 0
+        ||
+        match Http.read_request r with
+        | None -> true
+        | Some _ -> drain (k - 1)
+        | exception Http.Bad_request _ -> true
+      in
+      drain 8)
+
 (* ---- router ---- *)
 
 let test_router_dispatch () =
@@ -250,8 +295,7 @@ let test_session_params_json () =
   | Error e -> Alcotest.fail e
 
 let make_session ?(id = "t-0") () =
-  Session.create ~id ~tenant:"t" ~params:Session.default_params ~seed:1L
-    ~campaign_name:"c" ~submitted:0 ()
+  Session.create ~id ~tenant:"t" ~params:Session.default_params ~seed:1L ~submitted:0 ()
 
 let test_session_stream_semantics () =
   let s = make_session () in
@@ -290,6 +334,27 @@ let meta_fixture =
        ~stats:(Json.Obj [ ("experiments", Json.Num 4.); ("share", Json.Num 0.25) ])
        ~wall_seconds:1.5 ();
      Json.to_string ~pretty:true (Session.meta_json s))
+
+(* What the JSON parser reads in service: a request body and a terminal
+   meta with progress lines, both far inside the nesting cap. *)
+let test_session_meta_roundtrip () =
+  let meta =
+    match Session.meta_of_json (Json.of_string (Lazy.force meta_fixture)) with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list (pair int string))) "progress" [ (0, "resumed at program 1") ]
+    meta.Session.meta_progress;
+  Alcotest.(check (option int)) "records" (Some 3) meta.Session.meta_records;
+  Alcotest.(check bool) "failed with its reason" true
+    (meta.Session.meta_state = Session.Failed "lift \"x\"\n\xff");
+  let request = {|{"tenant":"t","template":"C","programs":4,"seed":"7","isa":"riscv"}|} in
+  match Session.params_of_json (Json.of_string request) with
+  | Ok p ->
+    Alcotest.(check bool) "request round-trips" true
+      (Session.params_of_json (Json.of_string (Json.to_string (Session.params_to_json p)))
+      = Ok p)
+  | Error e -> Alcotest.fail e
 
 (* The meta reader [recover] and [find] depend on: a truncated,
    overwritten, deleted or inserted byte makes [Json.of_string] raise
@@ -652,17 +717,28 @@ let test_scheduler_memory_flat () =
   Alcotest.(check int) "list keeps every campaign" 140 (List.length (Scheduler.list t));
   Scheduler.shutdown t
 
-(* The listing reads a finished campaign's terminal meta, never its
-   journal: with every journal gone each summary still carries the right
-   record count.  A meta from before [records] was persisted falls back
-   to the journal, and a queued meta carries no [records]. *)
+(* The campaign log's record payloads, oldest first. *)
+let log_records dir =
+  let content = read_file (Filename.concat dir Scheduler.log_file) in
+  let pos = Option.get (Scamv_util.Frame.records_start ~magic:"scamv-campaigns v1" content) in
+  let records, _ =
+    Scamv_util.Frame.fold content ~pos ~init:[] (fun acc ~offset:_ payload ->
+        Some (Json.of_string payload :: acc))
+  in
+  List.rev records
+
+(* The listing reads no file: a queued record carries no [records], a
+   terminal one does, and once the log and every journal are deleted the
+   listing is unchanged. *)
 let test_scheduler_list_from_metas () =
   let dir = fresh_dir () in
-  let meta_path id = Filename.concat dir (id ^ ".meta.json") in
-  let has_records id = Json.member "records" (Json.of_string (read_file (meta_path id))) <> None in
   let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
   let queued = submit_ok t ~tenant:"meta" small_params in
-  Alcotest.(check bool) "queued meta has no records" false (has_records queued.Session.id);
+  (match log_records dir with
+  | [ record ] ->
+    Alcotest.(check bool) "queued record has no records" true
+      (Json.member "records" record = None)
+  | records -> Alcotest.fail (Printf.sprintf "%d log records" (List.length records)));
   Scheduler.shutdown t;
   let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) () in
   let sessions =
@@ -682,22 +758,184 @@ let test_scheduler_list_from_metas () =
   let listed () = List.map Json.to_string (Scheduler.list t) in
   Alcotest.(check (list string)) "list at conclusion" expected (listed ());
   List.iter
-    (fun s -> Alcotest.(check bool) "terminal meta has records" true (has_records s.Session.id))
-    finished;
-  let legacy = List.nth sessions 2 in
-  let path = meta_path legacy.Session.id in
-  (match Json.of_string (read_file path) with
-  | Json.Obj fields ->
-    Out_channel.with_open_bin path (fun oc ->
-        output_string oc
-          (Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "records") fields))))
-  | _ -> Alcotest.fail "meta is not an object");
-  List.iter
-    (fun s ->
-      if s != legacy then Sys.remove (Filename.concat dir (s.Session.id ^ ".journal")))
-    sessions;
-  Alcotest.(check (list string)) "list without journals" expected (listed ());
+    (fun record ->
+      let terminal = Json.member "state" record <> Some (Json.Str "queued") in
+      Alcotest.(check bool) "terminal records carry records" terminal
+        (Json.member "records" record <> None))
+    (log_records dir);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Alcotest.(check (list string)) "list without log or journals" expected (listed ());
   Scheduler.shutdown t
+
+(* After a run, a queued cancel and a shutdown that cancels a queued
+   campaign, the state dir holds the campaign log and journals only. *)
+let test_scheduler_state_dir_files () =
+  let dir = fresh_dir () in
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) () in
+  let ran = submit_ok t ~tenant:"files" small_params in
+  Scheduler.drain t;
+  Scheduler.shutdown t;
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
+  let cancelled = submit_ok t ~tenant:"files" small_params in
+  Alcotest.(check bool) "queued cancel" true (Scheduler.cancel t cancelled);
+  let dropped = submit_ok t ~tenant:"files" small_params in
+  Scheduler.shutdown t;
+  let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Alcotest.(check (list string)) "state dir files"
+    [ Scheduler.log_file; ran.Session.id ^ ".journal" ]
+    files;
+  Alcotest.(check (list string)) "every campaign ended in the log"
+    [ "queued"; "completed"; "queued"; "cancelled"; "queued"; "cancelled" ]
+    (List.map
+       (fun r -> Option.get (Option.bind (Json.member "state" r) Json.to_str))
+       (log_records dir));
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
+  Alcotest.(check (list string)) "restart lists all three"
+    [ ran.Session.id; cancelled.Session.id; dropped.Session.id ]
+    (List.map
+       (fun j -> Option.get (Option.bind (Json.member "id" j) Json.to_str))
+       (Scheduler.list t));
+  Scheduler.shutdown t
+
+(* Every truncation point and every single-byte flip of a log holding
+   three campaigns: restart raises nothing and keeps the records before
+   the damage.  A campaign whose terminal record survived lists and
+   streams as before; one whose terminal record was lost is re-enqueued,
+   and finishes with a journal byte-identical to the batch run and a
+   terminal record the next restart reads; one with no record left is
+   unknown.  The re-enqueued campaigns run once per distinct set of
+   them. *)
+let test_scheduler_damaged_log () =
+  let dir = fresh_dir () in
+  let seeds = [ 11L; 12L; 13L ] in
+  let params seed =
+    { Session.default_params with Session.programs = 1; tests_per_program = 2;
+      seed = Some seed }
+  in
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
+  let queued = List.map (fun seed -> submit_ok t ~tenant:"log" (params seed)) seeds in
+  let log_path = Filename.concat dir Scheduler.log_file in
+  let queued_log = read_file log_path in
+  Scheduler.shutdown t;
+  (* restart from the three queued records and run them to completion,
+     so the log ends with their three terminal records *)
+  Out_channel.with_open_bin log_path (fun oc -> output_string oc queued_log);
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) () in
+  Scheduler.drain t;
+  let ids = List.map (fun s -> s.Session.id) queued in
+  let finished = List.map (find_ok t) ids in
+  let summary = List.map (fun s -> Json.to_string (Session.summary_json s)) finished in
+  let streams = List.map all_lines finished in
+  Scheduler.shutdown t;
+  let whole = read_file (Filename.concat dir Scheduler.log_file) in
+  let journals = List.map (fun id -> read_file (Filename.concat dir (id ^ ".journal"))) ids in
+  let batch =
+    List.map
+      (fun seed ->
+        read_file (snd (batch_reference ~programs:1 ~tests_per_program:2 ~seed)))
+      seeds
+  in
+  List.iter2 (Alcotest.(check string) "served journal is the batch one") batch journals;
+  (* each record's (end offset, id, terminal) *)
+  let magic_end = String.length "scamv-campaigns v1\n" in
+  let frames, _ =
+    Scamv_util.Frame.fold whole ~pos:magic_end ~init:[] (fun acc ~offset payload ->
+        let json = Json.of_string payload in
+        let field k = Option.get (Option.bind (Json.member k json) Json.to_str) in
+        Some ((offset, field "id", field "state" <> "queued") :: acc))
+  in
+  let frames = List.rev frames in
+  Alcotest.(check int) "six records" 6 (List.length frames);
+  let ends = List.map (fun (o, _, _) -> o) (List.tl frames) @ [ String.length whole ] in
+  let records = List.map2 (fun e (_, id, terminal) -> (e, id, terminal)) ends frames in
+  let write_log content =
+    Out_channel.with_open_bin log_path (fun oc -> output_string oc content)
+  in
+  let restore_journals () =
+    List.iter2
+      (fun id j ->
+        Out_channel.with_open_bin (Filename.concat dir (id ^ ".journal")) (fun oc ->
+            output_string oc j))
+      ids journals
+  in
+  let ran = Hashtbl.create 8 in
+  (* The damage is at [kept]: the records ending at or before it survive,
+     unless it is in the magic line. *)
+  let check ~what ~kept content =
+    let survivors =
+      if kept < magic_end then []
+      else List.filter (fun (e, _, _) -> e <= kept) records
+    in
+    let status id =
+      if List.exists (fun (_, i, term) -> i = id && term) survivors then `Finished
+      else if List.exists (fun (_, i, _) -> i = id) survivors then `Requeued
+      else `Unknown
+    in
+    write_log content;
+    let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
+    let listed = List.map Json.to_string (Scheduler.list t) in
+    List.iteri
+      (fun i id ->
+        match status id with
+        | `Finished ->
+          Alcotest.(check bool) (what ^ ": lists as before") true
+            (List.mem (List.nth summary i) listed);
+          Alcotest.(check (list string)) (what ^ ": streams as before")
+            (List.nth streams i) (all_lines (find_ok t id))
+        | `Requeued ->
+          Alcotest.(check string) (what ^ ": re-enqueued " ^ id) "queued"
+            (Session.state_name (Session.state (find_ok t id)))
+        | `Unknown ->
+          Alcotest.(check bool) (what ^ ": unknown") true (Scheduler.find t id = None))
+      ids;
+    Scheduler.shutdown t;
+    let requeued = List.filter (fun id -> status id = `Requeued) ids in
+    (* whether damaged bytes follow the surviving records *)
+    let torn =
+      let clean_end = List.fold_left (fun acc (e, _, _) -> max acc e) 0 survivors in
+      String.length content > max clean_end (if kept < magic_end then 0 else magic_end)
+    in
+    if requeued <> [] && not (Hashtbl.mem ran (requeued, torn)) then begin
+      Hashtbl.add ran (requeued, torn) ();
+      write_log content;
+      let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) () in
+      Scheduler.drain t;
+      List.iteri
+        (fun i id ->
+          if List.mem id requeued then begin
+            Alcotest.(check bool) (what ^ ": re-run completed") true
+              (Session.state (find_ok t id) = Session.Completed);
+            Alcotest.(check string) (what ^ ": re-run journal is the batch one")
+              (List.nth batch i)
+              (read_file (Filename.concat dir (id ^ ".journal")))
+          end)
+        ids;
+      Scheduler.shutdown t;
+      (* the damaged tail was cut off, so the new terminal records are
+         read back by the next restart *)
+      let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
+      List.iter
+        (fun id ->
+          Alcotest.(check bool) (what ^ ": re-run logged") true
+            (Session.state (find_ok t id) = Session.Completed))
+        requeued;
+      Scheduler.shutdown t;
+      restore_journals ()
+    end
+  in
+  let n = String.length whole in
+  for len = 0 to n - 1 do
+    check ~what:(Printf.sprintf "cut at %d" len) ~kept:len (String.sub whole 0 len)
+  done;
+  for i = 0 to n - 1 do
+    let mask = 1 + (i mod 255) in
+    let flipped =
+      String.mapi (fun k c -> if k = i then Char.chr (Char.code c lxor mask) else c) whole
+    in
+    (* a flip inside a record drops it and everything after it *)
+    check ~what:(Printf.sprintf "flip at %d" i) ~kept:i flipped
+  done;
+  Alcotest.(check bool) "some re-enqueued sets ran" true (Hashtbl.length ran > 0)
 
 (* ---- server: wire-level connection management ---- *)
 
@@ -943,9 +1181,10 @@ let get_status port path =
       let status, _, _ = read_response (Unix.in_channel_of_descr fd) in
       status)
 
-(* Ids reach the disk-backed lookup percent-decoded from the URL.  A
-   finished campaign planted one level above the state dir, under the id
-   a traversal would build, must stay unreachable. *)
+(* Ids reach the lookup percent-decoded from the URL, and only an id in
+   the finished table reaches the disk.  A journal planted one level
+   above the state dir, under the id a traversal would build, must stay
+   unreachable. *)
 let test_server_lookup_path_safety () =
   let root = fresh_dir () in
   Unix.mkdir root 0o755;
@@ -958,18 +1197,6 @@ let test_server_lookup_path_safety () =
       in
       Scheduler.drain sched;
       let id = s.Session.id in
-      let meta = Json.of_string (read_file (Filename.concat state_dir (id ^ ".meta.json"))) in
-      let planted =
-        match meta with
-        | Json.Obj fields ->
-          Json.Obj
-            (List.map
-               (function "id", _ -> ("id", Json.Str "../outside-0") | kv -> kv)
-               fields)
-        | _ -> Alcotest.fail "meta is not an object"
-      in
-      Out_channel.with_open_bin (Filename.concat root "outside-0.meta.json") (fun oc ->
-          output_string oc (Json.to_string planted));
       Out_channel.with_open_bin (Filename.concat root "outside-0.journal") (fun oc ->
           output_string oc (read_file (Filename.concat state_dir (id ^ ".journal"))));
       Alcotest.(check int) "finished stream served from disk" 200
@@ -995,6 +1222,7 @@ let () =
           Alcotest.test_case "pipelined bytes survive between requests" `Quick
             test_http_pipelined_requests_share_reader;
           Alcotest.test_case "keep-alive intent" `Quick test_http_keep_alive_intent;
+          QCheck_alcotest.to_alcotest prop_http_reader_total;
         ] );
       ( "router",
         [ Alcotest.test_case "dispatch/405/404" `Quick test_router_dispatch ] );
@@ -1011,6 +1239,8 @@ let () =
           Alcotest.test_case "params JSON" `Quick test_session_params_json;
           Alcotest.test_case "stream wait/conclude" `Quick
             test_session_stream_semantics;
+          Alcotest.test_case "meta and request round-trip" `Quick
+            test_session_meta_roundtrip;
           QCheck_alcotest.to_alcotest prop_mutated_meta_json;
         ] );
       ( "scheduler",
@@ -1033,6 +1263,10 @@ let () =
             test_scheduler_memory_flat;
           Alcotest.test_case "list reads terminal metas" `Quick
             test_scheduler_list_from_metas;
+          Alcotest.test_case "state dir holds the log and journals only" `Quick
+            test_scheduler_state_dir_files;
+          Alcotest.test_case "damaged campaign log restarts cleanly" `Quick
+            test_scheduler_damaged_log;
         ] );
       ( "server",
         [

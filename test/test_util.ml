@@ -136,6 +136,24 @@ let test_rng_fill_bools_bounds () =
 
 (* ---- Json edge cases ---- *)
 
+(* The parser recurses once per nesting level, so the depth is capped:
+   a megabyte of [[] is rejected at the cap with a depth error instead of
+   recursing through the whole input, and the cap itself still parses. *)
+let test_json_depth_cap () =
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  (match Json.of_string (String.make (1 lsl 20) '[') with
+  | _ -> Alcotest.fail "a megabyte of [ parsed"
+  | exception Json.Parse_error msg ->
+    Alcotest.(check bool) ("depth error: " ^ msg) true
+      (String.starts_with ~prefix:"nesting deeper than 1024 levels" msg));
+  (match Json.of_string (nested 1024) with
+  | Json.Arr _ -> ()
+  | _ -> Alcotest.fail "1024 levels did not parse");
+  Alcotest.(check bool) "1025 levels rejected" true
+    (match Json.of_string (nested 1025) with
+    | _ -> false
+    | exception Json.Parse_error _ -> true)
+
 let test_json_unicode_escapes () =
   (* \u escapes up to 0xff decode to the single byte they name (the
      emitter's byte-transparent convention); higher BMP code points decode
@@ -419,6 +437,7 @@ let () =
           Alcotest.test_case "control chars round-trip" `Quick
             test_json_control_char_roundtrip;
           Alcotest.test_case "deep nesting" `Quick test_json_deep_nesting;
+          Alcotest.test_case "depth cap" `Quick test_json_depth_cap;
           Alcotest.test_case "bad \\u escapes rejected" `Quick
             test_json_bad_unicode_escapes_rejected;
           QCheck_alcotest.to_alcotest prop_json_bytes_roundtrip;
