@@ -30,9 +30,10 @@ smoke_run = $(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) $(2) > $(1).out && cat $(
 # directory) and a --resume checkpoint that is a plain CSV rather than a
 # framed journal must be usage errors (exit 124) rather than crashes (125).
 # So must `serve` on a state dir holding a campaign log without --resume,
-# and with --resume on one that holds files but no log (a dir an earlier
-# build wrote).  Those two run under `timeout -s KILL`, so a server that
-# starts serving fails with 137 instead of hanging.
+# and with --resume on one whose campaigns.log is not a campaign log or
+# that holds files but no log (a dir an earlier build wrote).  Those run
+# under `timeout -s KILL`, so a server that starts serving fails with 137
+# instead of hanging.
 smoke: build
 	$(call smoke_run,smoke.a64.j1,--jobs 1)
 	$(call smoke_run,smoke.a64.j4,--jobs 4)
@@ -55,6 +56,9 @@ smoke: build
 	printf 'scamv-campaigns v1\n' > smoke.state.log/campaigns.log
 	timeout -s KILL 10 _build/default/bin/scamv_cli.exe serve --port 0 \
 		--state-dir smoke.state.log > /dev/null 2>&1; test $$? = 124
+	printf 'not a campaign log\n' > smoke.state.log/campaigns.log
+	timeout -s KILL 10 _build/default/bin/scamv_cli.exe serve --port 0 \
+		--state-dir smoke.state.log --resume > /dev/null 2>&1; test $$? = 124
 	printf '{}' > smoke.state.old/a-0.meta.json
 	timeout -s KILL 10 _build/default/bin/scamv_cli.exe serve --port 0 \
 		--state-dir smoke.state.old --resume > /dev/null 2>&1; test $$? = 124

@@ -39,7 +39,6 @@ let isa_arg =
 
 (* Catalogue and range errors become cmdliner usage errors (exit 124). *)
 let usage r = Result.map_error (fun m -> `Msg m) r
-let require ok msg = if ok then Ok () else Error (`Msg msg)
 
 (* The journal opens its [--csv] file only at the first record, after the
    campaign has started, so an unwritable path is probed up front and
@@ -202,15 +201,22 @@ let campaign_cmd =
     let ( let* ) = Result.bind in
     let* isa = usage (Isa.of_string isa_name) in
     let* () =
-      require (fault_rate >= 0.0 && fault_rate <= 1.0) "--fault-rate must be within [0, 1]"
+      if fault_rate < 0.0 || fault_rate > 1.0 then
+        Error (`Msg "--fault-rate must be within [0, 1]")
+      else Ok ()
     in
     let* () =
-      require (max_attempts >= 1 && confirm >= 1)
-        "--max-attempts and --confirm must be at least 1"
+      if max_attempts < 1 || confirm < 1 then
+        Error (`Msg "--max-attempts and --confirm must be at least 1")
+      else Ok ()
     in
-    let* () = require (jobs >= 0) "--jobs must be at least 0" in
     let* () =
-      require (chaos_rate >= 0.0 && chaos_rate <= 1.0) "--chaos-rate must be within [0, 1]"
+      if jobs < 0 then Error (`Msg "--jobs must be at least 0") else Ok ()
+    in
+    let* () =
+      if chaos_rate < 0.0 || chaos_rate > 1.0 then
+        Error (`Msg "--chaos-rate must be within [0, 1]")
+      else Ok ()
     in
     let retry = Scamv.Retry.make ~max_attempts ~confirm () in
     let faults =
@@ -392,7 +398,9 @@ let diff_cmd =
   let run template_name setup_name programs tests seed verbose csv max_conflicts
       portfolio jobs frozen =
     let ( let* ) = Result.bind in
-    let* () = require (jobs >= 0) "--jobs must be at least 0" in
+    let* () =
+      if jobs < 0 then Error (`Msg "--jobs must be at least 0") else Ok ()
+    in
     let clock =
       if frozen then Scamv_util.Stopwatch.frozen else Scamv_util.Stopwatch.wall
     in
@@ -562,13 +570,27 @@ let serve_cmd =
   let run host port jobs concurrency max_connections idle_timeout state_dir
       resume max_backlog max_active frozen =
     let ( let* ) = Result.bind in
-    let* () = require (jobs >= 0) "--jobs must be at least 0" in
-    let* () = require (concurrency >= 1) "--concurrency must be at least 1" in
-    let* () = require (max_connections >= 1) "--max-connections must be at least 1" in
-    let* () = require (idle_timeout > 0.0) "--idle-timeout must be positive" in
     let* () =
-      require (max_backlog >= 1 && max_active >= 1)
-        "--max-backlog and --max-active must be at least 1"
+      if jobs < 0 then Error (`Msg "--jobs must be at least 0") else Ok ()
+    in
+    let* () =
+      if concurrency < 1 then Error (`Msg "--concurrency must be at least 1")
+      else Ok ()
+    in
+    let* () =
+      if max_connections < 1 then
+        Error (`Msg "--max-connections must be at least 1")
+      else Ok ()
+    in
+    let* () =
+      if idle_timeout <= 0.0 then
+        Error (`Msg "--idle-timeout must be positive")
+      else Ok ()
+    in
+    let* () =
+      if max_backlog < 1 || max_active < 1 then
+        Error (`Msg "--max-backlog and --max-active must be at least 1")
+      else Ok ()
     in
     let* () =
       (* A state dir must be fresh (absent or empty), or adopted with
@@ -578,16 +600,17 @@ let serve_cmd =
       let log = Scamv_service.Scheduler.log_file in
       match state_dir with
       | Some dir when Sys.file_exists dir && Sys.readdir dir <> [||] ->
-        let* () =
-          require resume
-            (Printf.sprintf
-               "%s is not empty; pass --resume to adopt the campaigns in its \
-                %s or choose a fresh directory"
-               dir log)
-        in
-        require
-          (Sys.file_exists (Filename.concat dir log))
-          (Printf.sprintf "%s holds files but no %s; it cannot be resumed" dir log)
+        if not resume then
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "%s is not empty; pass --resume to adopt the campaigns in \
+                  its %s or choose a fresh directory"
+                 dir log))
+        else if not (Sys.file_exists (Filename.concat dir log)) then
+          Error
+            (`Msg (Printf.sprintf "%s holds files but no %s; it cannot be resumed" dir log))
+        else Ok ()
       | _ -> Ok ()
     in
     let config =
@@ -601,7 +624,10 @@ let serve_cmd =
           (if frozen then Scamv_util.Stopwatch.frozen else Scamv_util.Stopwatch.wall);
       }
     in
-    let scheduler = Scamv_service.Scheduler.create ~config () in
+    let* scheduler =
+      try Ok (Scamv_service.Scheduler.create ~config ())
+      with Failure msg -> Error (`Msg msg)
+    in
     let server =
       Scamv_service.Server.create ~host ~port ~max_connections ~idle_timeout
         scheduler

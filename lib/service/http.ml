@@ -278,9 +278,12 @@ let set_keep_alive c v = c.keep_alive <- v
 let status_reason = function
   | 200 -> "OK"
   | 201 -> "Created"
+  | 204 -> "No Content"
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
+  | 409 -> "Conflict"
   | 429 -> "Too Many Requests"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"

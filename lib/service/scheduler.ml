@@ -182,11 +182,23 @@ let retire t s =
       { state = Session.state_name (Session.state s); records = s.Session.nlines;
         submitted = s.Session.submitted; offset }
 
-let meta_of_payload payload =
-  match Session.meta_of_json (Json.of_string payload) with
+(* The terminal record at [offset], parsed. *)
+let read_record t offset =
+  let* path = state_file t log_file in
+  let* payload =
+    try
+      In_channel.with_open_bin path (fun ic ->
+          In_channel.seek ic (Int64.of_int offset);
+          Frame.input ic)
+    with Sys_error _ -> None
+  in
+  try Some (Json.of_string payload) with Json.Parse_error _ -> None
+
+let meta_of_record json =
+  match Session.meta_of_json json with
   | Ok m when Option.map fst (sequence_of_id m.Session.meta_id) = Some m.Session.meta_tenant ->
     Some m
-  | Ok _ | Error _ | (exception Json.Parse_error _) -> None
+  | Ok _ | Error _ -> None
 
 (* A fresh session for a logged meta. *)
 let session_of_meta (m : Session.meta) =
@@ -199,15 +211,7 @@ let session_of_meta (m : Session.meta) =
    lines for the stream.  The rebuilt session streams, lists and reports
    status byte for byte as the live one did. *)
 let session_of_finished t offset =
-  let* path = state_file t log_file in
-  let* payload =
-    try
-      In_channel.with_open_bin path (fun ic ->
-          In_channel.seek ic (Int64.of_int offset);
-          Frame.input ic)
-    with Sys_error _ -> None
-  in
-  let* m = meta_of_payload payload in
+  let* m = Option.bind (read_record t offset) meta_of_record in
   let s = session_of_meta m in
   let events =
     match journal_file t s.Session.id with
@@ -374,14 +378,26 @@ let rec runner_loop t i =
 
 (* ---- restart recovery ---- *)
 
+(* Under the scheduler lock: future namespace seeds must never repeat,
+   and no new campaign may reuse (and empty) a journal. *)
+let mark t tenant seq =
+  let ten = tenant_of t tenant in
+  ten.Tenant.sequence <- max ten.Tenant.sequence (seq + 1)
+
 (* Read campaigns.log once, in order: restore each tenant's sequence
    high-water mark and the global submission counter from every record,
    keep a summary per terminal record, and re-enqueue the campaigns
    without one, in submission order (the order their queued records were
    logged), with their journal as a resume checkpoint, so completed
-   programs replay instead of re-running.  A torn or damaged tail is cut
-   off, as a journal's is, so the next append follows the clean prefix;
-   a log whose magic line is damaged keeps nothing. *)
+   programs replay instead of re-running.
+
+   Records stand alone, so a damaged one costs that record only: the
+   scan skips forward to the next clean frame, and the file is cut only
+   at a torn tail, bytes after the last clean frame that hold none (what
+   a kill during an append leaves), so the next append follows a clean
+   frame.  A lost record may have been its campaign's only one, so after
+   any damage the marks also go past every journal in the dir.  A log
+   with neither a magic line nor a clean frame is not adopted. *)
 let recover t dir =
   let path = Filename.concat dir log_file in
   let content =
@@ -389,27 +405,41 @@ let recover t dir =
     else ""
   in
   let restore queued ~offset payload =
-    let* m = meta_of_payload payload in
-    let tenant, seq = Option.get (sequence_of_id m.Session.meta_id) in
-    let ten = tenant_of t tenant in
-    (* Future namespace seeds must never repeat. *)
-    ten.Tenant.sequence <- max ten.Tenant.sequence (seq + 1);
-    t.submitted <- max t.submitted (m.Session.meta_submitted + 1);
-    if not (Session.is_terminal m.Session.meta_state) then Some (m :: queued)
-    else begin
-      keep_finished t tenant seq
-        { state = Session.state_name m.Session.meta_state;
-          records = Option.value ~default:0 m.Session.meta_records;
-          submitted = m.Session.meta_submitted; offset };
-      Some queued
-    end
+    match meta_of_record (Json.of_string payload) with
+    | exception Json.Parse_error _ -> queued
+    | None -> queued
+    | Some m ->
+      let tenant, seq = Option.get (sequence_of_id m.Session.meta_id) in
+      mark t tenant seq;
+      t.submitted <- max t.submitted (m.Session.meta_submitted + 1);
+      if not (Session.is_terminal m.Session.meta_state) then m :: queued
+      else begin
+        keep_finished t tenant seq
+          { state = Session.state_name m.Session.meta_state;
+            records = Option.value ~default:0 m.Session.meta_records;
+            submitted = m.Session.meta_submitted; offset };
+        queued
+      end
   in
-  let queued, clean_end =
-    match Frame.records_start ~magic:log_magic content with
-    | None -> ([], 0)
-    | Some pos -> Frame.fold content ~pos ~init:[] restore
+  (* [kept] counts the magic line and the clean frames' bytes *)
+  let rec scan queued kept pos =
+    match Frame.next content pos with
+    | None -> (queued, kept, pos)
+    | Some (offset, payload, after) ->
+      scan (restore queued ~offset payload) (kept + after - offset) after
   in
+  let start = Option.value ~default:0 (Frame.records_start ~magic:log_magic content) in
+  let queued, kept, clean_end = scan [] start start in
+  if clean_end = 0 && not (Frame.torn_magic ~magic:log_magic content) then
+    failwith (path ^ " is not a campaign log");
   if clean_end < String.length content then Unix.truncate path clean_end;
+  if kept < String.length content then
+    Array.iter
+      (fun f ->
+        match Option.bind (Filename.chop_suffix_opt ~suffix:".journal" f) sequence_of_id with
+        | Some (tenant, seq) -> mark t tenant seq
+        | None -> ())
+      (Sys.readdir dir);
   List.rev queued
   |> List.filter (fun (m : Session.meta) -> finished_of t m.Session.meta_id = None)
   |> List.iter (fun m ->
@@ -509,10 +539,18 @@ let submit t ~tenant params =
             Condition.broadcast t.work;
             Ok s)
 
+let lookup t id = locked t (fun () -> (Hashtbl.find_opt t.sessions id, finished_of t id))
+
 let find t id =
-  match locked t (fun () -> (Hashtbl.find_opt t.sessions id, finished_of t id)) with
+  match lookup t id with
   | Some s, _ -> Some s
   | None, Some f -> session_of_finished t f.offset
+  | None, None -> None
+
+let status t id =
+  match lookup t id with
+  | Some s, _ -> Some (Session.status_json s)
+  | None, Some f -> Option.map Session.status_of_meta (read_record t f.offset)
   | None, None -> None
 
 (* The listing reads no file: live sessions render themselves, finished
@@ -579,20 +617,40 @@ let metrics_snapshot t =
      discipline keeps the scheduler lock innermost-free of them. *)
   let live = List.concat_map (fun f -> f ()) sources in
   locked t (fun () ->
-      let running = float_of_int (running_count t) in
-      List.fold_left
-        (fun m (name, v) -> Metrics.set_gauge name v m)
-        (Metrics.merge t.campaign_metrics t.server_metrics)
-        ([
-           ("service.sessions.queued", float_of_int (queued_count t));
-           ("service.sessions.running", running);
-           ("scheduler.concurrent_sessions", running);
-           ("scheduler.slices", float_of_int (Array.length t.pools));
-           ("scheduler.slice_width", float_of_int (Pool.size t.pools.(0)));
-           ("service.sessions.total", float_of_int t.submitted);
-           ("service.tenants", float_of_int (Hashtbl.length t.tenants));
-         ]
-        @ live))
+      let m = Metrics.merge t.campaign_metrics t.server_metrics in
+      let m =
+        Metrics.set_gauge "service.sessions.queued"
+          (float_of_int (queued_count t)) m
+      in
+      let running = running_count t in
+      let m =
+        Metrics.set_gauge "service.sessions.running" (float_of_int running) m
+      in
+      let m =
+        Metrics.set_gauge "scheduler.concurrent_sessions" (float_of_int running)
+          m
+      in
+      let m =
+        Metrics.set_gauge "scheduler.slices"
+          (float_of_int (Array.length t.pools))
+          m
+      in
+      let m =
+        Metrics.set_gauge "scheduler.slice_width"
+          (float_of_int (Pool.size t.pools.(0)))
+          m
+      in
+      let m =
+        Metrics.set_gauge "service.sessions.total"
+          (float_of_int t.submitted)
+          m
+      in
+      let m =
+        Metrics.set_gauge "service.tenants"
+          (float_of_int (Hashtbl.length t.tenants))
+          m
+      in
+      List.fold_left (fun m (name, v) -> Metrics.set_gauge name v m) m live)
 
 let shutdown t =
   let proceed =

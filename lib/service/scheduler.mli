@@ -14,7 +14,8 @@
     memory except for a summary of a few words (state, record count,
     submission index and log offset, filed under its tenant and
     sequence number), from which {!list} renders without reading any
-    file; {!find} reads its one terminal record at that offset.
+    file; {!status} reads its one terminal record at that offset, and
+    {!find} also replays its journal.
 
     Runners are work-conserving: an idle runner takes the head of the
     next non-empty tenant queue, in round-robin order over tenants.
@@ -62,14 +63,18 @@ val create : ?config:config -> ?start:bool -> unit -> t
 (** Build a scheduler (default: 1 job, concurrency 1, no state dir,
     {!Tenant.default_quota}, wall clock); when [config.state_dir] is set,
     recover previously logged campaigns first, reading [campaigns.log]
-    once (a terminal record settles its campaign, a damaged tail is cut
-    off): every
-    campaign restores its tenant's sequence mark, finished ones keep a
-    summary, and unfinished ones are re-enqueued in original submission
-    order with the journal as a resume checkpoint.  [start = false]
-    skips the runner threads — admission-control unit tests use this to
-    exercise queues without running campaigns.
-    @raise Invalid_argument when [config.concurrency < 1]. *)
+    once (a terminal record settles its campaign): every campaign
+    restores its tenant's sequence mark, finished ones keep a summary,
+    and unfinished ones are re-enqueued in original submission order
+    with the journal as a resume checkpoint.  A damaged record is
+    skipped, costing that record only; only a torn tail is cut off, and
+    after any damage every tenant's mark also goes past the journals in
+    the dir, so no journal is reused.  [start = false] skips the runner
+    threads — admission-control unit tests use this to exercise queues
+    without running campaigns.
+    @raise Invalid_argument when [config.concurrency < 1].
+    @raise Failure when [campaigns.log] has neither a magic line nor a
+    clean record; the file is left as it is. *)
 
 val log_file : string
 (** ["campaigns.log"], the campaign log's name inside the state dir. *)
@@ -88,6 +93,10 @@ val find : t -> string -> Session.t option
     dir, a finished one rebuilt from its terminal log record and its
     journal — stream, status and summary byte-identical to the live
     session's.  Only an id in the finished table reaches the disk. *)
+
+val status : t -> string -> Scamv_util.Json.t option
+(** The {!Session.status_json} of a known session; a finished one's is
+    rendered from its terminal log record alone, its journal unread. *)
 
 val list : t -> Scamv_util.Json.t list
 (** The {!Session.summary_json} of every known session, in submission

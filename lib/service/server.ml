@@ -103,7 +103,9 @@ let with_session t id conn f =
   | Some s -> f s
 
 let h_status t id _req conn =
-  with_session t id conn (fun s -> Http.respond_json conn (Session.status_json s))
+  match Scheduler.status t.scheduler id with
+  | None -> respond_error conn ~status:404 (Printf.sprintf "no campaign %s" id)
+  | Some status -> Http.respond_json conn status
 
 let h_cancel t id _req conn =
   with_session t id conn (fun s ->
@@ -166,6 +168,11 @@ let dispatch t routes req conn =
       conn ~status:405 "method not allowed\n"
   | Router.Not_found -> respond_error conn ~status:404 "no such resource"
 
+let set_idle_token t slot token =
+  Mutex.lock t.lock;
+  t.idle_tokens.(slot) <- token;
+  Mutex.unlock t.lock
+
 (* Serve requests off one connection until the client closes or opts out,
    the request cap rolls the connection over, the idle deadline fires, or
    the server stops.  A [Bad_request] — from the parser or a handler —
@@ -177,15 +184,9 @@ let handle_connection t routes slot fd =
   let oc = Unix.out_channel_of_descr fd in
   let conn = Http.conn_of_channel oc in
   let finally () =
-    Mutex.lock t.lock;
-    t.idle_tokens.(slot) <- None;
-    Mutex.unlock t.lock;
+    set_idle_token t slot None;
     (try flush oc with Sys_error _ -> ());
     try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  let close_with ~status msg =
-    Http.set_keep_alive conn false;
-    try respond_error conn ~status msg with Sys_error _ -> ()
   in
   Fun.protect ~finally (fun () ->
       let rec loop served =
@@ -198,7 +199,9 @@ let handle_connection t routes slot fd =
           match Http.read_request ~idle reader with
           | None -> ()  (* peer closed between requests *)
           | exception Http.Timeout -> ()  (* idle too long, or server stop *)
-          | exception Http.Bad_request msg -> close_with ~status:400 msg
+          | exception Http.Bad_request msg ->
+            Http.set_keep_alive conn false;
+            (try respond_error conn ~status:400 msg with Sys_error _ -> ())
           | Some req ->
             if served > 0 then
               Scheduler.bump t.scheduler "service.connections_reused";
@@ -207,11 +210,15 @@ let handle_connection t routes slot fd =
               && served + 1 < t.max_requests
               && not t.stopping);
             (try dispatch t routes req conn with
-            | Http.Bad_request msg -> close_with ~status:400 msg
+            | Http.Bad_request msg ->
+              Http.set_keep_alive conn false;
+              (try respond_error conn ~status:400 msg with Sys_error _ -> ())
             | Sys_error _ -> Http.set_keep_alive conn false  (* peer went away *)
             | e ->
               Scheduler.bump t.scheduler "service.http.errors";
-              close_with ~status:500 (Printexc.to_string e));
+              Http.set_keep_alive conn false;
+              (try respond_error conn ~status:500 (Printexc.to_string e)
+               with Sys_error _ -> ()));
             if Http.keep_alive conn then loop (served + 1)
       in
       loop 0)

@@ -267,18 +267,20 @@ let outcome_fields t =
   | None -> []
   | Some s -> [ ("stats", s); ("wall_seconds", Json.Num t.wall_seconds) ]
 
-let status_json t =
-  locked t (fun () ->
-      Json.Obj
-        ([
-           ("id", Json.Str t.id);
-           ("tenant", Json.Str t.tenant);
-           ("state", Json.Str (state_name t.state));
-           ("campaign", Json.Str t.campaign_name);
-           ("params", params_to_json { t.params with seed = Some t.seed });
-           ("records", Json.Num (float_of_int t.nlines));
-         ]
-        @ outcome_fields t))
+(* The status, without [records] for a queued log record.  Call under
+   the lock. *)
+let status_fields t ~records =
+  [
+    ("id", Json.Str t.id);
+    ("tenant", Json.Str t.tenant);
+    ("state", Json.Str (state_name t.state));
+    ("campaign", Json.Str t.campaign_name);
+    ("params", params_to_json { t.params with seed = Some t.seed });
+  ]
+  @ (if records then [ ("records", Json.Num (float_of_int t.nlines)) ] else [])
+  @ outcome_fields t
+
+let status_json t = locked t (fun () -> Json.Obj (status_fields t ~records:true))
 
 let summary ~id ~tenant ~state ~records =
   Json.Obj
@@ -334,24 +336,14 @@ let conclude t state ?stats ?(wall_seconds = 0.0) () =
 
 (* ---- persistence (campaign log records) ---- *)
 
+(* The status fields (a terminal record's [records] answers the
+   listing), the submission index, and the progress lines when there are
+   any. *)
 let meta_json t =
   locked t (fun () ->
       Json.Obj
-        ([
-           ("id", Json.Str t.id);
-           ("tenant", Json.Str t.tenant);
-           ("submitted", Json.Num (float_of_int t.submitted));
-           ("state", Json.Str (state_name t.state));
-           ("campaign", Json.Str t.campaign_name);
-           ("params", params_to_json { t.params with seed = Some t.seed });
-         ]
-        @ outcome_fields t
-        (* the terminal meta alone answers the listing; queued metas keep
-           their historical bytes *)
-        @ (if is_terminal t.state then [ ("records", Json.Num (float_of_int t.nlines)) ]
-           else [])
-        (* written only when there are progress lines, so metas of
-           campaigns without any keep their historical bytes *)
+        (status_fields t ~records:(is_terminal t.state)
+        @ [ ("submitted", Json.Num (float_of_int t.submitted)) ]
         @
         match t.progress with
         | [] -> []
@@ -364,6 +356,11 @@ let meta_json t =
                      Json.Arr [ Json.Num (float_of_int at); Json.Str message ])
                    progress) );
           ]))
+
+let status_of_meta = function
+  | Json.Obj fields ->
+    Json.Obj (List.filter (fun (k, _) -> k <> "submitted" && k <> "progress") fields)
+  | json -> json
 
 type meta = {
   meta_id : string;

@@ -152,6 +152,10 @@ val meta_json : t -> Scamv_util.Json.t
     finished session's terminal meta plus its journal is all the server
     keeps of it on disk. *)
 
+val status_of_meta : Scamv_util.Json.t -> Scamv_util.Json.t
+(** A terminal meta's {!status_json}: the same bytes the session reported
+    when it concluded, without rebuilding its stream. *)
+
 type meta = {
   meta_id : string;
   meta_tenant : string;

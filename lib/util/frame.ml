@@ -1,6 +1,7 @@
 (* Framed records: [R <len> <crc32-hex>\n<payload>\n] after a magic first
-   line.  The journal and the service's campaign log share this module,
-   so both read back the same way: the longest clean prefix of frames. *)
+   line.  The journal and the service's campaign log share this module:
+   the journal keeps the longest clean prefix of frames, the log every
+   clean frame. *)
 
 let add ?(corrupt_crc = false) buf payload =
   let crc = Crc32.string payload in
@@ -22,7 +23,9 @@ let torn_magic ~magic content =
 (* Only the header [add] writes is accepted, "R <length> <crc32-hex>": a
    decimal length without leading zeros (at most nine digits) and eight
    lower-case hex digits.  A damaged header therefore never reads back
-   as the same frame. *)
+   as the same frame, and a header line is at most [header_max] bytes. *)
+let header_max = String.length "R 123456789 0123abcd"
+
 let header line =
   let n = String.length line in
   let digits = n - 11 in
@@ -37,19 +40,25 @@ let header line =
       Some (int_of_string len, int_of_string ("0x" ^ crc))
     else None
 
+(* The payload of a frame whose header says [(len, crc)] and whose body
+   starts at [at] in [s]: [len] bytes that match the checksum, then a
+   newline.  The bounds test is a difference, so a huge length cannot
+   overflow. *)
+let body s ~at (len, crc) =
+  if len >= 0 && len < String.length s - at && s.[at + len] = '\n' then
+    let payload = String.sub s at len in
+    if Crc32.string payload = crc then Some payload else None
+  else None
+
 (* The payload of the clean frame at [pos] and the offset after it.  The
-   bounds test is a difference, so a huge length cannot overflow. *)
+   header line is looked for in its first [header_max + 1] bytes only, so
+   probing an arbitrary offset costs a constant. *)
 let read content pos =
-  let n = String.length content in
-  match String.index_from_opt content pos '\n' with
-  | None -> None
-  | Some nl -> (
-    match header (String.sub content pos (nl - pos)) with
-    | Some (len, crc)
-      when len >= 0 && len < n - (nl + 1) && content.[nl + 1 + len] = '\n' ->
-      let payload = String.sub content (nl + 1) len in
-      if Crc32.string payload = crc then Some (payload, nl + 2 + len) else None
-    | _ -> None)
+  let ( let* ) = Option.bind in
+  let head = String.sub content pos (min (header_max + 1) (String.length content - pos)) in
+  let* nl = String.index_opt head '\n' in
+  let* payload = Option.bind (header (String.sub head 0 nl)) (body content ~at:(pos + nl + 1)) in
+  Some (payload, pos + nl + 2 + String.length payload)
 
 let fold content ~pos ~init f =
   let rec go acc pos =
@@ -62,11 +71,16 @@ let fold content ~pos ~init f =
   in
   go init pos
 
+let rec next content pos =
+  match String.index_from_opt content pos 'R' with
+  | None -> None
+  | Some at -> (
+    match read content at with
+    | Some (payload, after) -> Some (at, payload, after)
+    | None -> next content (at + 1))
+
 let input ic =
   match Option.bind (In_channel.input_line ic) header with
   | Some (len, crc) when len >= 0 && len < Int64.to_int (In_channel.length ic) ->
-    Option.bind (In_channel.really_input_string ic (len + 1)) (fun body ->
-        let payload = String.sub body 0 len in
-        if body.[len] = '\n' && Crc32.string payload = crc then Some payload
-        else None)
+    Option.bind (In_channel.really_input_string ic (len + 1)) (fun b -> body b ~at:0 (len, crc))
   | _ -> None

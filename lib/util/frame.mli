@@ -29,6 +29,13 @@ val fold :
     ([None]), without skipping forward; returns the accumulator and the
     offset the clean prefix ends at. *)
 
+val next : string -> int -> (int * string * int) option
+(** [next content pos] skips forward to the first clean frame that starts
+    at or after [pos]: its offset, its payload and the offset after it.
+    For files whose records stand alone (the campaign log), so that one
+    damaged record costs that record only; the checksum makes a stray
+    match in damaged bytes vanishingly unlikely. *)
+
 val input : in_channel -> string option
 (** Read the frame at the channel's position: its payload, or [None]
     when it is torn or fails its checksum. *)

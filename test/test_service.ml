@@ -325,7 +325,7 @@ let test_session_stream_semantics () =
 
 (* A terminal meta as the scheduler persists it, with every optional
    field present and escaped bytes in the failure reason. *)
-let meta_fixture =
+let meta_session =
   lazy
     (let s = make_session () in
      Session.push_progress s "resumed at program 1";
@@ -333,7 +333,9 @@ let meta_fixture =
      Session.conclude s (Session.Failed "lift \"x\"\n\xff")
        ~stats:(Json.Obj [ ("experiments", Json.Num 4.); ("share", Json.Num 0.25) ])
        ~wall_seconds:1.5 ();
-     Json.to_string ~pretty:true (Session.meta_json s))
+     s)
+
+let meta_fixture = lazy (Json.to_string ~pretty:true (Session.meta_json (Lazy.force meta_session)))
 
 (* What the JSON parser reads in service: a request body and a terminal
    meta with progress lines, both far inside the nesting cap. *)
@@ -348,6 +350,9 @@ let test_session_meta_roundtrip () =
   Alcotest.(check (option int)) "records" (Some 3) meta.Session.meta_records;
   Alcotest.(check bool) "failed with its reason" true
     (meta.Session.meta_state = Session.Failed "lift \"x\"\n\xff");
+  Alcotest.(check string) "status from the meta"
+    (Json.to_string (Session.status_json (Lazy.force meta_session)))
+    (Json.to_string (Session.status_of_meta (Json.of_string (Lazy.force meta_fixture))));
   let request = {|{"tenant":"t","template":"C","programs":4,"seed":"7","isa":"riscv"}|} in
   match Session.params_of_json (Json.of_string request) with
   | Ok p ->
@@ -758,6 +763,12 @@ let test_scheduler_list_from_metas () =
   let listed () = List.map Json.to_string (Scheduler.list t) in
   Alcotest.(check (list string)) "list at conclusion" expected (listed ());
   List.iter
+    (fun s ->
+      Alcotest.(check (option string)) "status from the terminal record"
+        (Some (status_bytes s))
+        (Option.map Json.to_string (Scheduler.status t s.Session.id)))
+    finished;
+  List.iter
     (fun record ->
       let terminal = Json.member "state" record <> Some (Json.Str "queued") in
       Alcotest.(check bool) "terminal records carry records" terminal
@@ -798,13 +809,14 @@ let test_scheduler_state_dir_files () =
   Scheduler.shutdown t
 
 (* Every truncation point and every single-byte flip of a log holding
-   three campaigns: restart raises nothing and keeps the records before
-   the damage.  A campaign whose terminal record survived lists and
-   streams as before; one whose terminal record was lost is re-enqueued,
-   and finishes with a journal byte-identical to the batch run and a
-   terminal record the next restart reads; one with no record left is
-   unknown.  The re-enqueued campaigns run once per distinct set of
-   them. *)
+   three campaigns: restart raises nothing.  A cut keeps the records
+   before it; a flip costs the record it hits (none in the magic line),
+   and the file is cut only at a torn tail.  A campaign whose terminal
+   record survived lists and streams as before; one whose terminal
+   record was lost is re-enqueued, and finishes with a journal
+   byte-identical to the batch run and a terminal record the next
+   restart reads; one with no record left is unknown.  The re-enqueued
+   campaigns run once per distinct set of them and kind of damage. *)
 let test_scheduler_damaged_log () =
   let dir = fresh_dir () in
   let seeds = [ 11L; 12L; 13L ] in
@@ -828,7 +840,8 @@ let test_scheduler_damaged_log () =
   let streams = List.map all_lines finished in
   Scheduler.shutdown t;
   let whole = read_file (Filename.concat dir Scheduler.log_file) in
-  let journals = List.map (fun id -> read_file (Filename.concat dir (id ^ ".journal"))) ids in
+  let journal id = read_file (Filename.concat dir (id ^ ".journal")) in
+  let journals = List.map journal ids in
   let batch =
     List.map
       (fun seed ->
@@ -836,7 +849,7 @@ let test_scheduler_damaged_log () =
       seeds
   in
   List.iter2 (Alcotest.(check string) "served journal is the batch one") batch journals;
-  (* each record's (end offset, id, terminal) *)
+  (* each record's (start offset, end offset, id, terminal) *)
   let magic_end = String.length "scamv-campaigns v1\n" in
   let frames, _ =
     Scamv_util.Frame.fold whole ~pos:magic_end ~init:[] (fun acc ~offset payload ->
@@ -847,9 +860,13 @@ let test_scheduler_damaged_log () =
   let frames = List.rev frames in
   Alcotest.(check int) "six records" 6 (List.length frames);
   let ends = List.map (fun (o, _, _) -> o) (List.tl frames) @ [ String.length whole ] in
-  let records = List.map2 (fun e (_, id, terminal) -> (e, id, terminal)) ends frames in
+  let records = List.map2 (fun e (o, id, terminal) -> (o, e, id, terminal)) ends frames in
   let write_log content =
     Out_channel.with_open_bin log_path (fun oc -> output_string oc content)
+  in
+  let check_journals what =
+    List.iter2 (fun id j -> Alcotest.(check string) (what ^ ": journal kept") j (journal id))
+      ids journals
   in
   let restore_journals () =
     List.iter2
@@ -859,20 +876,24 @@ let test_scheduler_damaged_log () =
       ids journals
   in
   let ran = Hashtbl.create 8 in
-  (* The damage is at [kept]: the records ending at or before it survive,
-     unless it is in the magic line. *)
-  let check ~what ~kept content =
-    let survivors =
-      if kept < magic_end then []
-      else List.filter (fun (e, _, _) -> e <= kept) records
-    in
+  let check ~what ~flip ~survives content =
+    let survivors = List.filter survives records in
     let status id =
-      if List.exists (fun (_, i, term) -> i = id && term) survivors then `Finished
-      else if List.exists (fun (_, i, _) -> i = id) survivors then `Requeued
+      if List.exists (fun (_, _, i, term) -> i = id && term) survivors then `Finished
+      else if List.exists (fun (_, _, i, _) -> i = id) survivors then `Requeued
       else `Unknown
+    in
+    (* the file keeps everything up to its last clean record *)
+    let clean_end =
+      List.fold_left (fun acc (_, e, _, _) -> max acc e)
+        (if Scamv_util.Frame.torn_magic ~magic:"scamv-campaigns v1" content then 0
+         else min magic_end (String.length content))
+        survivors
     in
     write_log content;
     let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
+    Alcotest.(check string) (what ^ ": log cut only at a torn tail")
+      (String.sub content 0 clean_end) (read_file log_path);
     let listed = List.map Json.to_string (Scheduler.list t) in
     List.iteri
       (fun i id ->
@@ -889,14 +910,10 @@ let test_scheduler_damaged_log () =
           Alcotest.(check bool) (what ^ ": unknown") true (Scheduler.find t id = None))
       ids;
     Scheduler.shutdown t;
+    check_journals what;
     let requeued = List.filter (fun id -> status id = `Requeued) ids in
-    (* whether damaged bytes follow the surviving records *)
-    let torn =
-      let clean_end = List.fold_left (fun acc (e, _, _) -> max acc e) 0 survivors in
-      String.length content > max clean_end (if kept < magic_end then 0 else magic_end)
-    in
-    if requeued <> [] && not (Hashtbl.mem ran (requeued, torn)) then begin
-      Hashtbl.add ran (requeued, torn) ();
+    if requeued <> [] && not (Hashtbl.mem ran (requeued, flip)) then begin
+      Hashtbl.add ran (requeued, flip) ();
       write_log content;
       let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) () in
       Scheduler.drain t;
@@ -906,13 +923,12 @@ let test_scheduler_damaged_log () =
             Alcotest.(check bool) (what ^ ": re-run completed") true
               (Session.state (find_ok t id) = Session.Completed);
             Alcotest.(check string) (what ^ ": re-run journal is the batch one")
-              (List.nth batch i)
-              (read_file (Filename.concat dir (id ^ ".journal")))
+              (List.nth batch i) (journal id)
           end)
         ids;
       Scheduler.shutdown t;
-      (* the damaged tail was cut off, so the new terminal records are
-         read back by the next restart *)
+      (* the new terminal records follow a clean record, so the next
+         restart reads them back *)
       let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
       List.iter
         (fun id ->
@@ -925,17 +941,48 @@ let test_scheduler_damaged_log () =
   in
   let n = String.length whole in
   for len = 0 to n - 1 do
-    check ~what:(Printf.sprintf "cut at %d" len) ~kept:len (String.sub whole 0 len)
+    check ~what:(Printf.sprintf "cut at %d" len) ~flip:false
+      ~survives:(fun (_, e, _, _) -> len >= magic_end && e <= len)
+      (String.sub whole 0 len)
   done;
-  for i = 0 to n - 1 do
+  let flip i content =
     let mask = 1 + (i mod 255) in
-    let flipped =
-      String.mapi (fun k c -> if k = i then Char.chr (Char.code c lxor mask) else c) whole
-    in
-    (* a flip inside a record drops it and everything after it *)
-    check ~what:(Printf.sprintf "flip at %d" i) ~kept:i flipped
+    String.mapi (fun k c -> if k = i then Char.chr (Char.code c lxor mask) else c) content
+  in
+  for i = 0 to n - 1 do
+    check ~what:(Printf.sprintf "flip at %d" i) ~flip:true
+      ~survives:(fun (o, e, _, _) -> i < o || i >= e)
+      (flip i whole)
   done;
-  Alcotest.(check bool) "some re-enqueued sets ran" true (Hashtbl.length ran > 0)
+  Alcotest.(check bool) "some re-enqueued sets ran" true (Hashtbl.length ran > 0);
+  (* A flip in the first record leaves the log as it is, and a new
+     campaign takes the next id: no journal is reused. *)
+  let first_flipped = flip (magic_end + 3) whole in
+  write_log first_flipped;
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) () in
+  Alcotest.(check string) "first-record flip: log untouched" first_flipped (read_file log_path);
+  Alcotest.(check string) "first-record flip: next id" "log-3"
+    (submit_ok t ~tenant:"log" (params 14L)).Session.id;
+  Scheduler.drain t;
+  Scheduler.shutdown t;
+  check_journals "first-record flip";
+  Sys.remove (Filename.concat dir "log-3.journal");
+  (* A lost record that was its campaign's only one: the mark still goes
+     past that campaign's journal. *)
+  let last_queued, _, _, _ = List.nth records 2 in
+  write_log (flip (last_queued + 3) queued_log);
+  let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
+  Alcotest.(check bool) "only record lost: unknown" true
+    (Scheduler.find t (List.nth ids 2) = None);
+  Alcotest.(check string) "only record lost: next id skips its journal" "log-3"
+    (submit_ok t ~tenant:"log" (params 14L)).Session.id;
+  Scheduler.shutdown t;
+  check_journals "only record lost";
+  (* A file that is no campaign log is refused and left alone. *)
+  write_log "not a campaign log\n";
+  Alcotest.check_raises "no log refused" (Failure (log_path ^ " is not a campaign log"))
+    (fun () -> ignore (Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false ()));
+  Alcotest.(check string) "no log left alone" "not a campaign log\n" (read_file log_path)
 
 (* ---- server: wire-level connection management ---- *)
 
