@@ -68,9 +68,9 @@ check: build test smoke
 bench:
 	$(DUNE) exec bench/main.exe
 
-# Paper-results golden: the scaled-down Table 1, Fig. 7, Fig. 3 and
-# ablation tables must print exactly the count cells of
-# bench/repro.expected.  The filter keeps every count cell and drops what
+# Paper-results golden: the scaled-down Table 1, Fig. 7, Fig. 3,
+# ablation, model-repair and channel tables must print exactly the count
+# cells of bench/repro.expected.  The filter keeps every count cell and drops what
 # runs on the wall clock: the table separators, the avg gen / avg exe /
 # T.T.C. columns (fields 13-15 of a campaign row) and the two timed
 # ablation tables (projection, path split).  Then one row is rerun as the
@@ -81,7 +81,8 @@ REPRO_ROW = campaign --template stride --setup "mpart-vs-mpart'" -p 30 -k 30
 repro_cells = grep -F "$(1)" $(2) | cut -d'|' -f3-12 | tr -d ' '
 
 repro-golden: build
-	_build/default/bench/main.exe table1 fig7 fig3 ablations > repro.golden.out
+	_build/default/bench/main.exe table1 fig7 fig3 ablations repair channels \
+		> repro.golden.out
 	awk -F'|' '/^## / { skip = /projection|per-path-pair/ } \
 		skip || /^\+/ { next } \
 		NF == 17 { s = $$1; for (i = 2; i <= NF; i++) if (i < 13 || i > 15) s = s "|" $$i; \

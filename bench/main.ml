@@ -620,6 +620,7 @@ let validate_service_metrics file =
       "scamv_service_connections_queued";
       "scamv_service_connections_reused";
       "scamv_service_connections_rejected";
+      "scamv_service_connection_workers";
       "scamv_service_sessions_total";
       "scamv_scheduler_concurrent_sessions";
       "scamv_scheduler_slices";
@@ -639,6 +640,13 @@ let validate_service_metrics file =
   | Some v when v >= 1.0 -> ()
   | Some v -> fail "%s: connections_reused stayed at %g" file v
   | None -> fail "%s: connections_reused has no sample line" file);
+  (* workers start on demand: the dump's server (default cap 16) held a
+     few connections at a time, so it started at least one and fewer
+     than its cap *)
+  (match value "scamv_service_connection_workers" with
+  | Some v when v >= 1.0 && v < 16.0 -> ()
+  | Some v -> fail "%s: connection_workers reads %g, want 1..15" file v
+  | None -> fail "%s: connection_workers has no sample line" file);
   Printf.printf "OK: %s carries the service/scheduler metric families\n" file
 
 (* ------------------------------------------------------------------ *)

@@ -518,7 +518,8 @@ let serve_cmd =
       value & opt int 64
       & info [ "max-connections" ] ~docv:"N"
           ~doc:
-            "Connection workers (and the accept-queue bound); overflow \
+            "Cap on connection workers, which start on demand as \
+             connections arrive; also the accept-queue bound.  Overflow \
              connections are answered 503 with Retry-After.")
   in
   let idle_timeout_arg =

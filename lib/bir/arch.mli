@@ -48,22 +48,9 @@ val is_load : lifted -> bool
 val is_branch : lifted -> bool
 (** [is_branch l] holds when control is not {!Fallthrough}. *)
 
-(** {1 AArch64 lowering}
-
-    The flag-based compare discipline of {!Scamv_isa.Ast}, exposed pieceweise
-    because the speculation instrumentation and tests reuse the individual
-    lowerings. *)
-
-val operand_term : Scamv_isa.Ast.operand -> Scamv_smt.Term.t
-
-val address_term : Scamv_isa.Ast.addressing -> Scamv_smt.Term.t
-(** Address expression over the canonical register variables. *)
+(** {1 AArch64} *)
 
 val cond_term : Scamv_isa.Ast.cond -> Scamv_smt.Term.t
 (** Condition-code predicate over the canonical flag variables. *)
-
-val instr_assigns : Scamv_isa.Ast.instr -> (string * Scamv_smt.Term.t) list
-(** The state updates of one instruction over canonical variables, in
-    order.  Branches and nop yield no assignments. *)
 
 val aarch64 : Scamv_isa.Ast.instr t

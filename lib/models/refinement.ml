@@ -35,14 +35,15 @@ let coverage_hooks coverage =
 
 let coverage_names coverage = List.map (fun (m : Model.t) -> m.Model.name) coverage
 
-let unguided ?(coverage = []) (model : Model.t) =
+(* Validate [model] without guidance: only its [Base] observations, and
+   test cases enumerated from the plain equivalence relation. *)
+let unguided (model : Model.t) =
   {
     name = model.Model.name ^ " unguided";
     base_name = model.Model.name;
     refined_name = None;
-    coverage_names = coverage_names coverage;
-    hooks =
-      Model.merge_hooks (model.Model.hooks ~tag:Obs.Base :: coverage_hooks coverage);
+    coverage_names = [];
+    hooks = model.Model.hooks ~tag:Obs.Base;
     spec = Option.map (fun s -> s ~tag:Obs.Base) model.Model.spec;
   }
 

@@ -27,11 +27,6 @@ val annotate : t -> Scamv_isa.Ast.program -> Scamv_bir.Program.t
 
 val has_refinement : t -> bool
 
-val unguided : ?coverage:Model.t list -> Model.t -> t
-(** Validate [M1] without guidance: only [Base] (and coverage)
-    observations; test cases are enumerated from the plain equivalence
-    relation. *)
-
 val refine_with_model :
   ?coverage:Model.t list -> base:Model.t -> refined:Model.t -> unit -> t
 (** Guide validation of [base] by a refined model whose hooks are

@@ -578,31 +578,37 @@ let list t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
-(* Cancel a session (the DELETE handler).  Queued sessions cancel
+(* Cancel a campaign by id (the DELETE handler).  Queued sessions cancel
    immediately (dequeued, terminal, done-line pushed); a running session
    gets its cancel token expired and drains cooperatively — its runner
-   publishes the Cancelled state when the campaign returns.  Returns
-   false when the session was already terminal. *)
-let cancel t s =
+   publishes the Cancelled state when the campaign returns.  A finished
+   one answers from its summary, reading no file. *)
+let cancel t id =
   locked t (fun () ->
-      match Session.state s with
-      | st when Session.is_terminal st -> false
-      | Session.Running ->
-        Deadline.cancel s.Session.cancel;
-        true
-      | _ ->
-        let ten = Hashtbl.find t.tenants s.Session.tenant in
-        let keep = Queue.create () in
-        Queue.iter
-          (fun id -> if id <> s.Session.id then Queue.push id keep)
-          ten.Tenant.pending;
-        Queue.clear ten.Tenant.pending;
-        Queue.transfer keep ten.Tenant.pending;
-        Tenant.finish ten;
-        Session.conclude s Session.Cancelled ();
-        retire t s;
-        t.server_metrics <- Metrics.incr "service.campaigns.cancelled" t.server_metrics;
-        true)
+      match Hashtbl.find_opt t.sessions id with
+      | None -> Option.map (fun f -> (false, f.state)) (finished_of t id)
+      | Some s ->
+        let cancelled =
+          match Session.state s with
+          | st when Session.is_terminal st -> false
+          | Session.Running ->
+            Deadline.cancel s.Session.cancel;
+            true
+          | _ ->
+            let ten = Hashtbl.find t.tenants s.Session.tenant in
+            let keep = Queue.create () in
+            Queue.iter
+              (fun id -> if id <> s.Session.id then Queue.push id keep)
+              ten.Tenant.pending;
+            Queue.clear ten.Tenant.pending;
+            Queue.transfer keep ten.Tenant.pending;
+            Tenant.finish ten;
+            Session.conclude s Session.Cancelled ();
+            retire t s;
+            t.server_metrics <- Metrics.incr "service.campaigns.cancelled" t.server_metrics;
+            true
+        in
+        Some (cancelled, Session.state_name (Session.state s)))
 
 let drain t =
   locked t (fun () ->

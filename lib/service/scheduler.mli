@@ -103,11 +103,14 @@ val list : t -> Scamv_util.Json.t list
     order: the live ones and, with a state dir, every finished one,
     rendered from its in-memory summary.  Reads no file. *)
 
-val cancel : t -> Session.t -> bool
-(** Queued sessions cancel immediately; a running one gets its cancel
-    token expired and drains cooperatively (every unfinished program is
-    journaled as crashed with reason ["campaign cancelled"]).  [false]
-    when already terminal. *)
+val cancel : t -> string -> (bool * string) option
+(** Cancel the campaign [id]: whether this call cancelled it, and its
+    {!Session.state_name} afterwards; [None] for an unknown id.  Queued
+    sessions cancel immediately; a running one gets its cancel token
+    expired and drains cooperatively (every unfinished program is
+    journaled as crashed with reason ["campaign cancelled"]), so it still
+    reads ["running"].  A terminal one answers [false]; a finished one's
+    state comes from its in-memory summary, no file read. *)
 
 val drain : t -> unit
 (** Block until no session is queued or running.  Test/smoke

@@ -1,6 +1,8 @@
 (* The HTTP front end: a listening socket, an accept loop on its own
-   thread, and a fixed pool of connection workers fed through a bounded
-   handoff queue — when the queue is full the acceptor answers 503 with
+   thread, and connection workers fed through a bounded handoff queue.
+   The acceptor starts a worker when it queues a connection that no
+   started worker is free to take, up to [max_connections]; a started
+   worker stays.  When the queue is full the acceptor answers 503 with
    Retry-After itself, so load shedding happens before any thread is
    spawned (there is no thread-per-connection path).  Connections are
    persistent: each worker serves requests off one socket until the
@@ -17,7 +19,7 @@ type t = {
   scheduler : Scheduler.t;
   host : string;
   mutable port : int;  (** resolved after {!start} when created with port 0 *)
-  max_connections : int;  (** connection workers; also the handoff-queue cap *)
+  max_connections : int;  (** cap on connection workers; also the handoff-queue cap *)
   idle_timeout : float;  (** seconds a keep-alive connection may sit idle *)
   max_requests : int;  (** requests served per connection before rollover *)
   lock : Mutex.t;
@@ -26,9 +28,9 @@ type t = {
   idle_tokens : Deadline.t option array;
       (** per-worker idle deadline, cancelled by {!stop} to unpark readers *)
   mutable active : int;  (** connections currently being served *)
+  mutable workers : int;  (** connection workers started; worker [i] owns slot [i] *)
   mutable fd : Unix.file_descr option;
   mutable accept_thread : Thread.t option;
-  mutable workers : Thread.t list;
   mutable stopping : bool;
 }
 
@@ -51,9 +53,9 @@ let create ?(host = "127.0.0.1") ?(port = 8421) ?(max_connections = 16)
     pending = Queue.create ();
     idle_tokens = Array.make max_connections None;
     active = 0;
+    workers = 0;
     fd = None;
     accept_thread = None;
-    workers = [];
     stopping = false;
   }
 
@@ -97,45 +99,41 @@ let h_list t _req conn =
   Http.respond_json conn
     (Json.Obj [ ("campaigns", Json.Arr (Scheduler.list t.scheduler)) ])
 
-let with_session t id conn f =
-  match Scheduler.find t.scheduler id with
-  | None -> respond_error conn ~status:404 (Printf.sprintf "no campaign %s" id)
-  | Some s -> f s
+let no_campaign conn id = respond_error conn ~status:404 (Printf.sprintf "no campaign %s" id)
 
 let h_status t id _req conn =
   match Scheduler.status t.scheduler id with
-  | None -> respond_error conn ~status:404 (Printf.sprintf "no campaign %s" id)
+  | None -> no_campaign conn id
   | Some status -> Http.respond_json conn status
 
 let h_cancel t id _req conn =
-  with_session t id conn (fun s ->
-      let cancelled = Scheduler.cancel t.scheduler s in
-      Http.respond_json conn
-        (Json.Obj
-           [
-             ("id", Json.Str id);
-             ("cancelled", Json.Bool cancelled);
-             ("state", Json.Str (Session.state_name (Session.state s)));
-           ]))
+  match Scheduler.cancel t.scheduler id with
+  | None -> no_campaign conn id
+  | Some (cancelled, state) ->
+    Http.respond_json conn
+      (Json.Obj
+         [ ("id", Json.Str id); ("cancelled", Json.Bool cancelled); ("state", Json.Str state) ])
 
 let h_stream t id req conn =
-  with_session t id conn (fun s ->
-      let from =
-        match Http.query req "from" with
-        | None -> 0
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n >= 0 -> n
-          | _ -> raise (Http.Bad_request "query parameter from must be a non-negative integer"))
-      in
-      let st = Http.start_stream conn ~status:200 in
-      let rec loop from =
-        let lines, next, terminal = Session.wait_lines s ~from in
-        List.iter (fun line -> Http.stream_chunk st (line ^ "\n")) lines;
-        if not terminal then loop next
-      in
-      loop from;
-      Http.stream_close st)
+  match Scheduler.find t.scheduler id with
+  | None -> no_campaign conn id
+  | Some s ->
+    let from =
+      match Http.query req "from" with
+      | None -> 0
+      | Some v -> (
+        match int_of_string_opt v with
+        | Some n when n >= 0 -> n
+        | _ -> raise (Http.Bad_request "query parameter from must be a non-negative integer"))
+    in
+    let st = Http.start_stream conn ~status:200 in
+    let rec loop from =
+      let lines, next, terminal = Session.wait_lines s ~from in
+      List.iter (fun line -> Http.stream_chunk st (line ^ "\n")) lines;
+      if not terminal then loop next
+    in
+    loop from;
+    Http.stream_close st
 
 let h_metrics t _req conn =
   Http.respond ~content_type:"text/plain; version=0.0.4" conn ~status:200
@@ -223,22 +221,42 @@ let handle_connection t routes slot fd =
       in
       loop 0)
 
-let rec worker_loop t routes slot =
+(* A worker not serving a connection ([workers - active] of them) takes
+   the next queued one; [active] moves in the same critical sections as
+   the queue, so the acceptor's count of free workers is exact. *)
+let worker_loop t routes slot =
+  let rec next () =
+    while Queue.is_empty t.pending && not t.stopping do
+      Condition.wait t.pending_nonempty t.lock
+    done;
+    if t.stopping then Mutex.unlock t.lock  (* stop drains the queue itself *)
+    else begin
+      let fd = Queue.pop t.pending in
+      t.active <- t.active + 1;
+      Mutex.unlock t.lock;
+      (try handle_connection t routes slot fd with _ -> ());
+      Mutex.lock t.lock;
+      t.active <- t.active - 1;
+      next ()
+    end
+  in
   Mutex.lock t.lock;
-  while Queue.is_empty t.pending && not t.stopping do
-    Condition.wait t.pending_nonempty t.lock
-  done;
-  if t.stopping then Mutex.unlock t.lock  (* stop drains the queue itself *)
-  else begin
-    let fd = Queue.pop t.pending in
-    t.active <- t.active + 1;
-    Mutex.unlock t.lock;
-    (try handle_connection t routes slot fd with _ -> ());
-    Mutex.lock t.lock;
-    t.active <- t.active - 1;
-    Mutex.unlock t.lock;
-    worker_loop t routes slot
+  next ()
+
+(* Under the lock, once [fd] is queued: claim the next worker slot when
+   more connections wait than started workers are free to take them,
+   unless the cap is reached or the server stops.  The caller starts the
+   thread outside the lock. *)
+let claim_worker t =
+  if
+    (not t.stopping)
+    && t.workers < t.max_connections
+    && Queue.length t.pending > t.workers - t.active
+  then begin
+    t.workers <- t.workers + 1;
+    Some (t.workers - 1)
   end
+  else None
 
 (* Load shedding on the accept path: the handoff queue is bounded, and a
    connection that would overflow it is answered 503 + Retry-After by the
@@ -254,7 +272,16 @@ let reject_overloaded t fd =
    with Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let accept_loop t listener =
+let accept_loop t routes listener =
+  let spawn slot =
+    try ignore (Thread.create (fun () -> worker_loop t routes slot) ())
+    with _ ->
+      (* No thread: give the slot back; the connection waits for a
+         started worker, or for the next accept to try again. *)
+      Mutex.lock t.lock;
+      t.workers <- t.workers - 1;
+      Mutex.unlock t.lock
+  in
   let rec loop () =
     match Unix.accept ~cloexec:true listener with
     | fd, _ ->
@@ -264,17 +291,19 @@ let accept_loop t listener =
       (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
       if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
       else begin
-        let overloaded =
-          Mutex.lock t.lock;
-          let over = Queue.length t.pending >= t.max_connections in
-          if not over then begin
+        Mutex.lock t.lock;
+        let overloaded = Queue.length t.pending >= t.max_connections in
+        let slot =
+          if overloaded then None
+          else begin
             Queue.push fd t.pending;
-            Condition.signal t.pending_nonempty
-          end;
-          Mutex.unlock t.lock;
-          over
+            Condition.signal t.pending_nonempty;
+            claim_worker t
+          end
         in
+        Mutex.unlock t.lock;
         if overloaded then reject_overloaded t fd;
+        Option.iter spawn slot;
         loop ()
       end
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -294,11 +323,12 @@ let start t =
     [ "service.connections_reused"; "service.connections_rejected" ];
   Scheduler.register_gauge_source t.scheduler (fun () ->
       Mutex.lock t.lock;
-      let active = t.active and queued = Queue.length t.pending in
+      let active = t.active and queued = Queue.length t.pending and workers = t.workers in
       Mutex.unlock t.lock;
       [
         ("service.connections_active", float_of_int active);
         ("service.connections_queued", float_of_int queued);
+        ("service.connection_workers", float_of_int workers);
       ]);
   let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
@@ -310,17 +340,17 @@ let start t =
   | _ -> ());
   t.fd <- Some listener;
   let routes = routes t in
-  t.workers <-
-    List.init t.max_connections (fun slot ->
-        Thread.create (fun () -> worker_loop t routes slot) ());
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t listener) ())
+  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t routes listener) ())
 
 let stop t =
   match t.fd with
   | None -> ()
   | Some listener ->
     t.fd <- None;
+    (* under the lock: the acceptor claims no worker slot after this *)
+    Mutex.lock t.lock;
     t.stopping <- true;
+    Mutex.unlock t.lock;
     (* Closing a listening socket does not wake a thread blocked in
        accept(2); a throw-away connection does, portably. *)
     (try
@@ -345,5 +375,4 @@ let stop t =
       (function Some d -> Deadline.cancel d | None -> ())
       t.idle_tokens;
     Condition.broadcast t.pending_nonempty;
-    Mutex.unlock t.lock;
-    t.workers <- []
+    Mutex.unlock t.lock

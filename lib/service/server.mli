@@ -1,6 +1,9 @@
 (** The campaign service's HTTP front end: a listener, an accept loop on
-    its own thread, and a fixed pool of connection workers fed through a
-    bounded handoff queue.  Connections are persistent (HTTP/1.1
+    its own thread, and connection workers fed through a bounded handoff
+    queue.  Workers start on demand: the acceptor starts one when it
+    queues a connection that no started worker is free to take, up to
+    [max_connections], and a started worker stays for the server's
+    life.  Connections are persistent (HTTP/1.1
     keep-alive): a worker serves requests off one socket until the client
     opts out ([Connection: close]), the per-connection request cap rolls
     it over, the idle timeout fires, or the server stops.  When the
@@ -22,11 +25,13 @@
       blocking as the campaign runs, terminated by a [{"done":...}]
       line.  Chunked bodies are self-delimiting, so a finished stream
       leaves the connection reusable.
-    - [DELETE /campaigns/:id] — cooperative cancel.
+    - [DELETE /campaigns/:id] — cooperative cancel; a finished campaign
+      answers [cancelled: false] and its logged state, its journal unread.
     - [GET /metrics] — Prometheus text exposition of
       {!Scheduler.metrics_snapshot} (including the live
-      [service.connections_active] / [service.connections_queued]
-      gauges this module contributes).
+      [service.connections_active], [service.connections_queued] and
+      [service.connection_workers] (workers started) gauges this module
+      contributes).
     - [GET /healthz] — liveness probe. *)
 
 type t
@@ -39,15 +44,17 @@ val create :
   ?max_requests:int ->
   Scheduler.t ->
   t
-(** Defaults: host ["127.0.0.1"], port [8421], 16 connection workers
-    (also the handoff-queue bound), 5 s idle timeout, 1000 requests per
+(** Defaults: host ["127.0.0.1"], port [8421], at most 16 connection
+    workers, started on demand (16 is also the handoff-queue bound), 5 s
+    idle timeout, 1000 requests per
     connection.  Port [0] asks the kernel for a free port (tests use
     this); read it back with {!port} after {!start}.
     @raise Invalid_argument on a non-positive knob. *)
 
 val start : t -> unit
-(** Bind, listen, ignore [SIGPIPE], pre-register the connection metrics,
-    spawn the worker pool and the accept thread.
+(** Bind, listen, ignore [SIGPIPE], pre-register the connection metrics
+    and start the accept thread; connection workers start with the first
+    connections.
     @raise Unix.Unix_error when the address is unavailable.
     @raise Invalid_argument when already started. *)
 

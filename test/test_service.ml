@@ -392,6 +392,9 @@ let sched_config ?state_dir ?(jobs = 1) ?(concurrency = 1)
 
 let small_params = { Session.default_params with Session.programs = 2; tests_per_program = 2 }
 
+(* [Scheduler.cancel]'s answer: cancelled by this call, and the state. *)
+let cancel_answer = Alcotest.(option (pair bool string))
+
 let test_scheduler_admission () =
   let quota = { Tenant.max_backlog = 2; max_active = 8 } in
   let t = Scheduler.create ~config:(sched_config ~quota ()) ~start:false () in
@@ -435,8 +438,11 @@ let test_scheduler_admission () =
   Alcotest.(check bool) "namespace seed" true
     (a0.Session.seed = Tenant.derive_seed ~tenant:"a" ~sequence:0);
   (* cancelling a queued session frees its backlog slot immediately *)
-  Alcotest.(check bool) "cancel" true (Scheduler.cancel t a0);
-  Alcotest.(check bool) "cancel idempotent" false (Scheduler.cancel t a0);
+  Alcotest.(check cancel_answer) "cancel" (Some (true, "cancelled"))
+    (Scheduler.cancel t a0.Session.id);
+  Alcotest.(check cancel_answer) "cancel idempotent" (Some (false, "cancelled"))
+    (Scheduler.cancel t a0.Session.id);
+  Alcotest.(check cancel_answer) "cancel unknown" None (Scheduler.cancel t "a-9");
   Alcotest.(check bool) "terminal" true (Session.state a0 = Session.Cancelled);
   (match Scheduler.submit t ~tenant:"a" small_params with
   | Ok _ -> ()
@@ -474,7 +480,8 @@ let test_scheduler_cancel_running () =
   in
   (* wait for the first record, then cancel mid-campaign *)
   let (_ : string list * int * bool) = Session.wait_lines s ~from:0 in
-  Alcotest.(check bool) "cancel running" true (Scheduler.cancel t s);
+  Alcotest.(check cancel_answer) "cancel running" (Some (true, "running"))
+    (Scheduler.cancel t s.Session.id);
   wait_terminal s;
   Alcotest.(check bool) "cancelled" true (Session.state s = Session.Cancelled);
   (* the drained campaign journals every unfinished program as crashed
@@ -606,7 +613,8 @@ let test_scheduler_idle_runner_takes_next () =
     (Session.state_name (Session.state short));
   Alcotest.(check string) "first campaign still running" "running"
     (Session.state_name (Session.state long));
-  Alcotest.(check bool) "cancel the first" true (Scheduler.cancel t long);
+  Alcotest.(check cancel_answer) "cancel the first" (Some (true, "running"))
+    (Scheduler.cancel t long.Session.id);
   wait_terminal long;
   Alcotest.(check string) "first campaign cancelled" "cancelled"
     (Session.state_name (Session.state long));
@@ -788,7 +796,8 @@ let test_scheduler_state_dir_files () =
   Scheduler.shutdown t;
   let t = Scheduler.create ~config:(sched_config ~state_dir:dir ()) ~start:false () in
   let cancelled = submit_ok t ~tenant:"files" small_params in
-  Alcotest.(check bool) "queued cancel" true (Scheduler.cancel t cancelled);
+  Alcotest.(check cancel_answer) "queued cancel" (Some (true, "cancelled"))
+    (Scheduler.cancel t cancelled.Session.id);
   let dropped = submit_ok t ~tenant:"files" small_params in
   Scheduler.shutdown t;
   let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
@@ -1217,16 +1226,19 @@ let test_server_backpressure_503 () =
                     (List.assoc_opt "connection" hs);
                   expect_eof ic_c));
           (* unblock the parked worker so stop is prompt *)
-          ignore (Scheduler.cancel sched s)))
+          ignore (Scheduler.cancel sched s.Session.id)))
 
-let get_status port path =
+(* One request on its own connection: status and body. *)
+let request port meth path =
   let fd = connect port in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      send fd (Printf.sprintf "GET %s HTTP/1.1\r\nConnection: close\r\n\r\n" path);
-      let status, _, _ = read_response (Unix.in_channel_of_descr fd) in
-      status)
+      send fd (Printf.sprintf "%s %s HTTP/1.1\r\nConnection: close\r\n\r\n" meth path);
+      let status, _, body = read_response (Unix.in_channel_of_descr fd) in
+      (status, body))
+
+let get_status port path = fst (request port "GET" path)
 
 (* Ids reach the lookup percent-decoded from the URL, and only an id in
    the finished table reaches the disk.  A journal planted one level
@@ -1256,6 +1268,86 @@ let test_server_lookup_path_safety () =
           Alcotest.(check bool) (Printf.sprintf "find %S" bad) true
             (Scheduler.find sched bad = None))
         [ "../outside-0"; id ^ "\000"; ".."; id ^ "x"; "-0"; "safe-" ])
+
+(* Cancelling a finished campaign answers from its summary: with its
+   journal turned into a directory, a journal read would raise. *)
+let test_server_cancel_finished_reads_no_journal () =
+  let state_dir = fresh_dir () in
+  with_server ~state_dir (fun sched port ->
+      let s = submit_ok sched ~tenant:"done" small_params in
+      Scheduler.drain sched;
+      let id = s.Session.id in
+      let journal = Filename.concat state_dir (id ^ ".journal") in
+      Sys.remove journal;
+      Unix.mkdir journal 0o755;
+      let status, body = request port "DELETE" ("/campaigns/" ^ id) in
+      Alcotest.(check int) "DELETE of a finished campaign" 200 status;
+      Alcotest.(check string) "answered from the summary"
+        (Printf.sprintf {|{"id":"%s","cancelled":false,"state":"completed"}|} id)
+        (Json.to_string (Json.of_string body));
+      Alcotest.(check int) "unknown id" 404 (fst (request port "DELETE" "/campaigns/done-7")))
+
+(* Connection workers start on demand and stay, up to the cap.  The
+   gauge counts the worker serving the scrape itself. *)
+let test_server_workers_on_demand () =
+  with_server ~max_connections:4 (fun _sched port ->
+      let opened = ref [] in
+      let open_conn () =
+        let fd = connect port in
+        opened := fd :: !opened;
+        (fd, Unix.in_channel_of_descr fd)
+      in
+      let get (fd, ic) path =
+        send fd (Printf.sprintf "GET %s HTTP/1.1\r\n\r\n" path);
+        let status, _, body = read_response ic in
+        Alcotest.(check int) (path ^ " status") 200 status;
+        body
+      in
+      let workers conn =
+        match metric_value (get conn "/metrics") "scamv_service_connection_workers" with
+        | Some v -> int_of_float v
+        | None -> Alcotest.fail "no connection_workers sample"
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !opened)
+        (fun () ->
+          (* a held keep-alive connection: its scrape runs the only worker *)
+          let a = open_conn () in
+          Alcotest.(check int) "first scrape" 1 (workers a);
+          (* a second held connection finds no free worker and starts one;
+             the scrape on a third does the same *)
+          ignore (get (open_conn ()) "/healthz");
+          let c = open_conn () in
+          Alcotest.(check int) "two idle connections held" 3 (workers c);
+          (* once the third connection's worker is free again, the next
+             connection takes it *)
+          Unix.close (fst c);
+          opened := List.tl !opened;
+          let active () =
+            metric_value (get a "/metrics") "scamv_service_connections_active"
+          in
+          let give_up = Unix.gettimeofday () +. 10.0 in
+          while active () <> Some 2.0 && Unix.gettimeofday () < give_up do
+            Thread.delay 0.01
+          done;
+          Alcotest.(check int) "a free worker is reused" 3 (workers (open_conn ()));
+          (* a burst of silent connects holds the other workers and fills
+             the queue; the gauge never passes the cap *)
+          let read_capped () =
+            let n = workers a in
+            if n > 4 then Alcotest.failf "%d workers past a cap of 4" n;
+            n
+          in
+          for _ = 1 to 12 do
+            ignore (open_conn ());
+            ignore (read_capped ())
+          done;
+          let give_up = Unix.gettimeofday () +. 10.0 in
+          while read_capped () < 4 && Unix.gettimeofday () < give_up do
+            Thread.delay 0.01
+          done;
+          Alcotest.(check int) "burst reaches the cap" 4 (read_capped ())))
 
 let () =
   Alcotest.run "scamv_service"
@@ -1331,5 +1423,9 @@ let () =
             test_server_backpressure_503;
           Alcotest.test_case "disk lookups stay inside the state dir" `Quick
             test_server_lookup_path_safety;
+          Alcotest.test_case "cancel of a finished campaign reads no journal" `Quick
+            test_server_cancel_finished_reads_no_journal;
+          Alcotest.test_case "connection workers start on demand" `Quick
+            test_server_workers_on_demand;
         ] );
     ]
